@@ -12,7 +12,6 @@ from .concepts import Lexicon, annotate_concepts, annotate_sp_pos, annotate_tuis
 from .config import PipelineConfig, load_config, parse_config_text
 from .documents import (
     Annotation,
-    Corpus,
     Document,
     SegmentContext,
     export_annotations,
@@ -79,7 +78,6 @@ __all__ = [
     "ConfigError",
     "ConflictError",
     "ConversionError",
-    "Corpus",
     "DanglingReferenceError",
     "Document",
     "DuplicateEntryError",

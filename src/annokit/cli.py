@@ -2,15 +2,17 @@
 
 Subcommands: init, import, run, query, segments, convert, graph-mine,
 export, instances. Global flags --config/--convention/--jobs sit in
-front of the subcommand. Exit codes: 0 success, 1 partial or general
-failure, 2 store unreachable, 3 missing prerequisite stage, 4 unknown
-relation tag, 5 malformed inline XML.
+front of the subcommand. One thread uses one store: ``run`` takes its
+documents one at a time in argument order, and --jobs changes nothing.
+Exit codes: 0 success, 1 partial or general failure, 2 any store
+failure, 3 missing prerequisite stage, 4 unknown relation tag,
+5 malformed inline XML.
 """
 
 import argparse
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import nullcontext
 
 from . import concepts as concept_tools
 from . import documents as doc_tools
@@ -83,7 +85,7 @@ def cmd_init(config: PipelineConfig, args) -> int:
 # import
 
 def _import_text_documents(store, paths, corpus_id):
-    imported, failed = 0, 0
+    failed = 0
     for path in paths:
         name = os.path.basename(path)
         try:
@@ -96,11 +98,12 @@ def _import_text_documents(store, paths, corpus_id):
             if corpus_id is not None:
                 store.add_to_corpus(corpus_id, doc.id)
             print(f"{name}: imported")
-            imported += 1
+        except StoreError:
+            raise
         except (OSError, AnnokitError) as exc:
             _print_error(f"{name}: {exc}")
             failed += 1
-    return imported, failed
+    return failed
 
 
 def _import_inline(store, path, record_element, corpus_id):
@@ -141,7 +144,7 @@ def cmd_import(config: PipelineConfig, args) -> int:
                 corpus_id = store.create_corpus(args.corpus)
         failed = 0
         if args.paths:
-            _, failed = _import_text_documents(store, args.paths, corpus_id)
+            failed = _import_text_documents(store, args.paths, corpus_id)
         if args.inline:
             element = args.record_element or config.record_element
             _import_inline(store, args.inline, element, corpus_id)
@@ -225,7 +228,8 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
     return 0
 
 
-def _process_document(store, config, path, stages, resources):
+def _process_document(store, path, stages, resources) -> int:
+    """Run and report the stages of one document; returns rows written."""
     name = os.path.basename(path)
     doc_id = store.find_document(name)
     if doc_id is not None:
@@ -239,7 +243,11 @@ def _process_document(store, config, path, stages, resources):
     for stage in stages:
         graphs_persisted += _run_stage(doc, stage, stages, resources, store)
         written += store.checkpoint(doc)
-    return name, written, graphs_persisted
+    line = f"{name}: {written} annotations written"
+    if graphs_persisted:
+        line += f"; {graphs_persisted} graphs persisted"
+    print(line)
+    return written
 
 
 def cmd_run(config: PipelineConfig, args) -> int:
@@ -252,28 +260,20 @@ def cmd_run(config: PipelineConfig, args) -> int:
     stages = [s for s in STAGES if s in requested]
     resources = _StageResources(config, stages)
 
+    failures = 0
+    gap = None
+    total = 0
     with _open_store(config) as store:
-        with ThreadPoolExecutor(max_workers=config.jobs) as pool:
-            futures = [pool.submit(_process_document, store, config, path,
-                                   stages, resources)
-                       for path in args.paths]
-            failures = 0
-            gap = None
-            total = 0
-            for path, future in zip(args.paths, futures):
-                try:
-                    name, written, graphs_persisted = future.result()
-                except PrerequisiteGapError as exc:
-                    gap = gap or exc
-                except (OSError, AnnokitError) as exc:
-                    _print_error(f"{os.path.basename(path)}: {exc}")
-                    failures += 1
-                else:
-                    line = f"{name}: {written} annotations written"
-                    if graphs_persisted:
-                        line += f"; {graphs_persisted} graphs persisted"
-                    print(line)
-                    total += written
+        for path in args.paths:
+            try:
+                total += _process_document(store, path, stages, resources)
+            except PrerequisiteGapError as exc:
+                gap = gap or exc
+            except StoreError:
+                raise
+            except (OSError, AnnokitError) as exc:
+                _print_error(f"{os.path.basename(path)}: {exc}")
+                failures += 1
     if gap is not None:
         raise gap
     print(f"total: {total} annotations written")
@@ -356,15 +356,13 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
     min_support = args.min_support or config.min_support
     max_nodes = args.max_nodes or config.max_nodes
 
-    if args.input:
-        graphs = graph_tools.read_graph_file(args.input)
-        store = None
-    else:
-        store = _open_store(config)
-        listed = graph_tools.list_graphs(store, graph_type="dependency")
-        graphs = [graph_tools.load_graph(store, gid)
-                  for gid, _, _ in listed]
-    try:
+    with nullcontext() if args.input else _open_store(config) as store:
+        if store is None:
+            graphs = graph_tools.read_graph_file(args.input)
+        else:
+            listed = graph_tools.list_graphs(store, graph_type="dependency")
+            graphs = [graph_tools.load_graph(store, gid)
+                      for gid, _, _ in listed]
         results = graph_tools.mine_frequent_subgraphs(
             graphs, min_support, max_nodes=max_nodes)
         print(f"{len(graphs)} graphs mined, {len(results)} patterns"
@@ -390,9 +388,6 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
         if args.out:
             graph_tools.write_graph_file(
                 [r.pattern for r in results], args.out)
-    finally:
-        if store is not None:
-            store.close()
     return EXIT_OK
 
 
@@ -457,7 +452,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         choices=["half-open-0", "inclusive-1"],
                         default=None, help="offset convention for display")
     parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="worker pool width for document processing")
+                        help="accepted for compatibility and ignored:"
+                             " documents are processed one at a time")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="create the store schema")

@@ -8,10 +8,9 @@ matches fully contained in a kept match, and finally drops single-token
 matches that are bare function words. Partial overlaps survive.
 """
 
-import io
 from dataclasses import dataclass, field
 
-from .documents import Annotation, Document, tokenize_text
+from .documents import Annotation, Document, content_lines, tokenize_text
 from .errors import LexiconError
 from .intervals import Interval
 
@@ -39,9 +38,6 @@ class ConceptMatch:
     span: Interval
     cuis: tuple
 
-    def token_count(self) -> int:
-        return self.token_end - self.token_start
-
 
 def _is_punctuation(token: str) -> bool:
     return not any(ch.isalnum() for ch in token)
@@ -52,23 +48,6 @@ def term_key(term: str) -> tuple:
     punctuation dropped. Empty when the term has no word material."""
     return tuple(tok.casefold() for tok, _ in tokenize_text(term)
                  if not _is_punctuation(tok))
-
-
-def _read_lines(src):
-    if src is None:
-        return []
-    if hasattr(src, "read"):
-        lines = src.readlines()
-    else:
-        with io.open(src, "r", encoding="utf-8") as handle:
-            lines = handle.readlines()
-    numbered = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
-        numbered.append((lineno, line))
-    return numbered
 
 
 def _append_unique(bucket: list, value: str) -> None:
@@ -91,7 +70,7 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
     """
     entries: dict[tuple, list[str]] = {}
     cui_preferred: dict[str, str] = {}
-    for lineno, line in _read_lines(term_file):
+    for lineno, line in content_lines(term_file):
         fields = line.split("\t")
         if len(fields) not in (2, 3) or not fields[0].strip() \
                 or not fields[1].strip():
@@ -108,7 +87,7 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
             cui_preferred.setdefault(cui, fields[2].strip())
 
     cui_to_tui: dict[str, list[str]] = {}
-    for lineno, line in _read_lines(tui_file):
+    for lineno, line in content_lines(tui_file):
         fields = line.split("\t")
         if len(fields) != 2 or not fields[0].strip() or not fields[1].strip():
             raise LexiconError(
@@ -118,7 +97,7 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
                        fields[1].strip())
 
     token_to_pos: dict[str, list[str]] = {}
-    for lineno, line in _read_lines(pos_file):
+    for lineno, line in content_lines(pos_file):
         fields = line.split("\t")
         tags = [t.strip() for t in fields[1].split(",")] \
             if len(fields) == 2 else []
@@ -132,7 +111,7 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
             _append_unique(bucket, tag)
 
     function_words = set()
-    for lineno, line in _read_lines(function_word_file):
+    for lineno, line in content_lines(function_word_file):
         word = line.strip()
         if "\t" in word:
             raise LexiconError(

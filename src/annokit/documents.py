@@ -1,4 +1,4 @@
-"""Documents, corpora, and stand-off annotations.
+"""Documents and stand-off annotations.
 
 A document's text is immutable; all analysis attaches as annotations that
 point into the text by character span. Every document carries an index
@@ -8,8 +8,8 @@ splitter, the external tab-separated annotation exchange format, and the
 five-way sentence segmentation used for concept-pair context.
 """
 
-import io
 import re
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -50,14 +50,6 @@ class Annotation:
     provenance: str = ""
     id: int | None = None
     doc_id: int | None = None
-
-
-@dataclass
-class Corpus:
-    name: str
-    id: int | None = None
-    metadata: dict = field(default_factory=dict)
-    document_ids: set = field(default_factory=set)
 
 
 class AnnotationIndex:
@@ -384,45 +376,95 @@ def split_sentences(doc: Document,
     return out
 
 
+# text files given by path or as open handles
+
+@contextmanager
+def open_text(target, mode="r"):
+    """Yield ``target`` itself when it is already an open text handle,
+    else the UTF-8 file at that path, closed on exit."""
+    if hasattr(target, "read") or hasattr(target, "write"):
+        yield target
+    else:
+        with open(target, mode, encoding="utf-8") as handle:
+            yield handle
+
+
+def content_lines(src) -> list[tuple[int, str]]:
+    """(line number, line) for each non-blank, non-``#`` line of ``src``,
+    newline stripped; None reads as an empty file."""
+    if src is None:
+        return []
+    with open_text(src) as handle:
+        lines = handle.readlines()
+    numbered = []
+    for lineno, raw in enumerate(lines, start=1):
+        line = raw.rstrip("\n")
+        if line.strip() and not line.lstrip().startswith("#"):
+            numbered.append((lineno, line))
+    return numbered
+
+
 # external tab-separated exchange format
 
 _HEADER = "# doc\tstart\tend\ttype\tvalue\tattributes"
 
+# Attribute keys and values are escaped so that the separators ``;`` and
+# ``=`` and the line structure survive any text.
+_ESCAPES = {"\\": "\\\\", ";": "\\s", "=": "\\e", "\t": "\\t",
+            "\n": "\\n", "\r": "\\r"}
+_ESCAPED_CHAR = re.compile(r"[\\;=\t\n\r]")
+_UNESCAPES = {escaped[1]: char for char, escaped in _ESCAPES.items()}
+_ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
-def _open_for(dest, mode):
-    if hasattr(dest, "read") or hasattr(dest, "write"):
-        return dest, False
-    return io.open(dest, mode, encoding="utf-8"), True
+
+def _escape(text) -> str:
+    return _ESCAPED_CHAR.sub(lambda match: _ESCAPES[match.group()], str(text))
+
+
+def _unescape(text: str) -> str:
+    """Inverse of _escape; ValueError on an escape it never writes."""
+    def replace(match):
+        if match.group(1) not in _UNESCAPES:
+            raise ValueError(f"bad escape {match.group()!r}")
+        return _UNESCAPES[match.group(1)]
+    return _ESCAPE_SEQUENCE.sub(replace, text)
 
 
 def _format_attributes(ann: Annotation) -> str:
-    parts = [f"{k}={v}" for k, v in ann.attributes.items()]
+    parts = [f"{_escape(k)}={_escape(v)}" for k, v in ann.attributes.items()]
     if ann.provenance:
-        parts.append(f"{_PROVENANCE_KEY}={ann.provenance}")
+        parts.append(f"{_PROVENANCE_KEY}={_escape(ann.provenance)}")
     return ";".join(parts)
+
+
+def _parse_attributes(text: str) -> dict:
+    """Inverse of _format_attributes; ValueError on a malformed chunk."""
+    attributes = {}
+    for chunk in filter(None, text.split(";")):
+        key, sep, val = chunk.partition("=")
+        if not sep:
+            raise ValueError(f"attribute {chunk!r} has no '='")
+        attributes[_unescape(key)] = _unescape(val)
+    return attributes
 
 
 def export_annotations(doc: Document, dest,
                        type_filter: str | None = None) -> int:
     """Write annotations as tab-separated lines (0-based half-open spans).
 
-    Provenance travels as a reserved attribute so a round trip through
-    import_external_annotations loses nothing.
+    Provenance travels as a reserved attribute and attribute text is
+    escaped, so a round trip through import_external_annotations loses
+    nothing.
     """
-    handle, owned = _open_for(dest, "w")
-    try:
+    with open_text(dest, "w") as handle:
         handle.write(_HEADER + "\n")
-        count = 0
-        for ann in doc.annotations(type_filter):
+        annotations = doc.annotations(type_filter)
+        for ann in annotations:
             handle.write("\t".join((
                 doc.name, str(ann.span.start), str(ann.span.end),
                 ann.type_name, ann.value, _format_attributes(ann),
             )) + "\n")
-            count += 1
-        return count
-    finally:
-        if owned:
-            handle.close()
+    return len(annotations)
 
 
 def import_external_annotations(doc: Document, src) -> int:
@@ -431,19 +473,9 @@ def import_external_annotations(doc: Document, src) -> int:
     Every line is validated before anything is applied; any bad line
     aborts the whole import with the offending 1-based line numbers.
     """
-    handle, owned = _open_for(src, "r")
-    try:
-        lines = handle.readlines()
-    finally:
-        if owned:
-            handle.close()
-
     parsed = []
     bad = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.lstrip().startswith("#"):
-            continue
+    for lineno, line in content_lines(src):
         fields = line.split("\t")
         if len(fields) != 6:
             bad.append(lineno)
@@ -451,24 +483,12 @@ def import_external_annotations(doc: Document, src) -> int:
         name, raw_start, raw_end, type_name, value, raw_attrs = fields
         try:
             start, end = int(raw_start), int(raw_end)
+            attributes = _parse_attributes(raw_attrs)
         except ValueError:
             bad.append(lineno)
             continue
         if (name != doc.name or not type_name or start < 0 or end < start
                 or end > len(doc.content)):
-            bad.append(lineno)
-            continue
-        attributes = {}
-        ok = True
-        for chunk in raw_attrs.split(";"):
-            if not chunk:
-                continue
-            if "=" not in chunk:
-                ok = False
-                break
-            key, _, val = chunk.partition("=")
-            attributes[key] = val
-        if not ok:
             bad.append(lineno)
             continue
         provenance = attributes.pop(_PROVENANCE_KEY, "")

@@ -9,20 +9,14 @@ code (the lexicographically minimal encoding over all node orderings),
 which is exact at the small pattern sizes this targets.
 """
 
-import io
 import itertools
 import logging
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .documents import Annotation, Document
-from .errors import (
-    DanglingReferenceError,
-    ImportFormatError,
-    StoreError,
-    ValidationError,
-)
-from .store import CdmStore, canonical_json
+from .documents import Annotation, Document, content_lines, open_text
+from .errors import ImportFormatError, ValidationError
+from .store import CdmStore
 
 log = logging.getLogger(__name__)
 
@@ -354,56 +348,32 @@ def _extensions(pattern: LabeledGraph, triples, max_nodes):
 
 # persistence
 
-def persist_graph(store: CdmStore, graph: LabeledGraph) -> int:
-    """graphs row plus one linkage_graph row per edge. Nodes without any
-    incident edge are kept as rows with a null far end, so a reload
-    reproduces every node."""
-    conn = store.connection
+def _links(graph: LabeledGraph) -> list[tuple]:
+    """The graph as linkage rows: one per edge, plus one with a null far
+    end per node without edges, so a reload reproduces every node."""
     touched = {s for s, _, _ in graph.edges} | {d for _, d, _ in graph.edges}
-    with conn:
-        cur = conn.execute(
-            "INSERT INTO graphs (name, type, data) VALUES (?, ?, ?)",
-            (graph.name, graph.graph_type, canonical_json(None)))
-        graph_id = cur.lastrowid
-        rows = [(graph_id, s, d, l, graph.nodes[s], graph.nodes[d])
-                for s, d, l in graph.edges]
-        rows += [(graph_id, n, None, None, graph.nodes[n], None)
-                 for n in range(len(graph.nodes)) if n not in touched]
-        conn.executemany(
-            "INSERT INTO linkage_graph (graph_id, node1, node2, edge_label,"
-            " node1_label, node2_label) VALUES (?, ?, ?, ?, ?, ?)", rows)
-    graph.id = graph_id
-    return graph_id
+    rows = [(s, d, l, graph.nodes[s], graph.nodes[d])
+            for s, d, l in graph.edges]
+    rows += [(n, None, None, graph.nodes[n], None)
+             for n in range(len(graph.nodes)) if n not in touched]
+    return rows
+
+
+def persist_graph(store: CdmStore, graph: LabeledGraph) -> int:
+    """Store the graph with its linkage rows; sets and returns its id."""
+    graph.id = store.create_graph(graph.name, graph.graph_type,
+                                  _links(graph))
+    return graph.id
 
 
 def list_graphs(store: CdmStore, name_prefix: str | None = None,
                 graph_type: str | None = None) -> list[tuple[int, str, str]]:
     """(id, name, type) rows, optionally filtered, ordered by id."""
-    clauses, params = [], []
-    if name_prefix is not None:
-        clauses.append(r"name LIKE ? ESCAPE '\'")
-        escaped = (name_prefix.replace("\\", "\\\\")
-                   .replace("%", r"\%").replace("_", r"\_"))
-        params.append(escaped + "%")
-    if graph_type is not None:
-        clauses.append("type = ?")
-        params.append(graph_type)
-    where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
-    sql = f"SELECT id, name, type FROM graphs{where} ORDER BY id"
-    return [(r[0], r[1], r[2])
-            for r in store.connection.execute(sql, params)]
+    return store.list_graphs(name_prefix, graph_type)
 
 
 def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
-    conn = store.connection
-    head = conn.execute("SELECT name, type FROM graphs WHERE id = ?",
-                        (graph_id,)).fetchone()
-    if head is None:
-        raise DanglingReferenceError(f"no graph with id {graph_id}")
-    rows = conn.execute(
-        "SELECT node1, node2, edge_label, node1_label, node2_label"
-        " FROM linkage_graph WHERE graph_id = ? ORDER BY rowid",
-        (graph_id,)).fetchall()
+    name, graph_type, rows = store.graph_links(graph_id)
     labels = {}
     for node1, node2, _, label1, label2 in rows:
         labels[node1] = label1
@@ -413,59 +383,36 @@ def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
     nodes = [labels[old] for old in sorted(labels)]
     edges = [(renumber[n1], renumber[n2], el)
              for n1, n2, el, _, _ in rows if n2 is not None]
-    return LabeledGraph(nodes=nodes, edges=edges, name=head[0],
-                        graph_type=head[1], id=graph_id)
+    return LabeledGraph(nodes=nodes, edges=edges, name=name,
+                        graph_type=graph_type, id=graph_id)
 
 
 def persist_mining_results(store: CdmStore, results: list[MinedPattern],
                            mappings: list[SubgraphMapping] = ()
                            ) -> list[int]:
     """Store each mined pattern (a graphs row of type "sig_subgraph" plus
-    its sig_subgraph row) and optional embeddings into lg_sigsub.
+    its sig_subgraph row) and optional embeddings into lg_sigsub, all or
+    nothing. Returns the sig_subgraph ids.
 
     Mapping.subgraph_id indexes into ``results``; mapping.graph_id must
     be a persisted graph id.
     """
-    conn = store.connection
-    for mapping in mappings:
-        if not (0 <= (mapping.subgraph_id or 0) < len(results)):
-            raise ValidationError(
-                f"mapping references pattern {mapping.subgraph_id}, "
-                f"but only {len(results)} were mined"
-            )
-        row = conn.execute("SELECT 1 FROM graphs WHERE id = ?",
-                           (mapping.graph_id,)).fetchone()
-        if row is None:
-            raise DanglingReferenceError(
-                f"mapping references unknown graph id {mapping.graph_id}"
-            )
-    sig_ids = []
-    try:
-        for n, result in enumerate(results):
-            pattern = result.pattern
-            if not pattern.name:
-                pattern.name = f"pattern-{canonical_code(pattern)}"
-            pattern.graph_type = "sig_subgraph"
-            persist_graph(store, pattern)
-            with conn:
-                cur = conn.execute(
-                    "INSERT INTO sig_subgraph (subgraph_graph_id, support,"
-                    " data) VALUES (?, ?, ?)",
-                    (pattern.id, result.support,
-                     canonical_json({"graph_ids": ",".join(
-                         str(g) for g in result.graph_ids)})))
-                sig_ids.append(cur.lastrowid)
-        with conn:
-            conn.executemany(
-                "INSERT INTO lg_sigsub (graph_id, sig_subgraph_id,"
-                " node_mapping) VALUES (?, ?, ?)",
-                [(m.graph_id, sig_ids[m.subgraph_id],
-                  canonical_json({str(k): str(v)
-                                  for k, v in m.node_map.items()}))
-                 for m in mappings])
-    except StoreError:
-        raise
-    return sig_ids
+    patterns = []
+    for result in results:
+        pattern = result.pattern
+        if not pattern.name:
+            pattern.name = f"pattern-{canonical_code(pattern)}"
+        pattern.graph_type = "sig_subgraph"
+        patterns.append((pattern.name, pattern.graph_type, _links(pattern),
+                         result.support, {"graph_ids": ",".join(
+                             str(g) for g in result.graph_ids)}))
+    ids = store.create_mining_results(patterns, (
+        (m.graph_id, m.subgraph_id,
+         {str(k): str(v) for k, v in m.node_map.items()})
+        for m in mappings))
+    for result, (graph_id, _) in zip(results, ids):
+        result.pattern.id = graph_id
+    return [sig_id for _, sig_id in ids]
 
 
 # interchange format
@@ -473,9 +420,7 @@ def persist_mining_results(store: CdmStore, results: list[MinedPattern],
 def write_graph_file(graphs: list[LabeledGraph], dest) -> int:
     """Flat node-edge-list format: a ``graph`` header line, then ``n``
     and ``e`` lines. Returns the number of graphs written."""
-    own = not hasattr(dest, "write")
-    handle = io.open(dest, "w", encoding="utf-8") if own else dest
-    try:
+    with open_text(dest, "w") as handle:
         for g in graphs:
             gid = "" if g.id is None else str(g.id)
             handle.write(f"graph\t{gid}\t{g.name}\t{g.graph_type}\n")
@@ -483,21 +428,10 @@ def write_graph_file(graphs: list[LabeledGraph], dest) -> int:
                 handle.write(f"n\t{n}\t{label}\n")
             for s, d, l in g.edges:
                 handle.write(f"e\t{s}\t{d}\t{l}\n")
-        return len(graphs)
-    finally:
-        if own:
-            handle.close()
+    return len(graphs)
 
 
 def read_graph_file(src) -> list[LabeledGraph]:
-    own = not hasattr(src, "read")
-    handle = io.open(src, "r", encoding="utf-8") if own else src
-    try:
-        lines = handle.readlines()
-    finally:
-        if own:
-            handle.close()
-
     graphs = []
     current = None  # (id, name, type, labels dict, edges)
 
@@ -512,10 +446,7 @@ def read_graph_file(src) -> list[LabeledGraph]:
         graphs.append(LabeledGraph(nodes=nodes, edges=edges, name=name,
                                    graph_type=gtype, id=gid))
 
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if not line.strip() or line.startswith("#"):
-            continue
+    for lineno, line in content_lines(src):
         fields = line.split("\t")
         kind = fields[0]
         try:

@@ -56,8 +56,7 @@ class InlineRecord:
 
     def to_document(self) -> Document:
         doc = Document(self.record_id, self.plain_text)
-        for ev in self.tag_events:
-            ann = _event_annotation(ev)
+        for ann in self.annotations():
             doc.add_annotation(ann)
         return doc
 
@@ -145,7 +144,7 @@ class _Walker:
             return  # synthetic wrapper
         if self.record_element is not None and name == self.record_element:
             frame = [self._after_start_tag(), attrs, self._plain_len,
-                     len(self.events)]
+                     len(self._chunks), len(self.events)]
             self._record_stack.append(frame)
             return
         self._open.append(len(self.events))
@@ -163,14 +162,14 @@ class _Walker:
         self.events[index][3] = self._plain_len
 
     def _finish_record(self, frame):
-        content_start, attrs, plain_start, events_start = frame
+        content_start, attrs, plain_start, chunks_start, events_start = frame
         content_end = self._byte_index()
         # a self-closing record ends where its one tag starts
         raw = b"" if content_end < content_start \
             else self._data[content_start:content_end]
         ordinal = len(self.records) + 1
         record_id = attrs.get("id") or attrs.get("ID") or str(ordinal)
-        plain = "".join(self._chunks)[plain_start:]
+        plain = "".join(self._chunks[chunks_start:])
         events = [(n, a, s - plain_start, e - plain_start)
                   for n, a, s, e in self.events[events_start:]]
         self.records.append(InlineRecord(

@@ -11,15 +11,15 @@ DDL/DML plus unique indexes.
 Documents flush through a dirty set: marshal writes the document row and
 dirty annotations, checkpoint writes dirty annotations only. Annotations
 enter memory with provisional negative ids and get their durable ids from
-the store on first flush.
+the store on first flush. No other module runs SQL.
 """
 
+import functools
 import json
 import sqlite3
-import threading
 from collections import namedtuple
 
-from .documents import Annotation, Document
+from .documents import _PROVENANCE_KEY, Annotation, Document
 from .errors import (
     ConflictError,
     DanglingReferenceError,
@@ -29,8 +29,6 @@ from .errors import (
     ValidationError,
 )
 from .intervals import Interval
-
-_PROVENANCE_KEY = "_provenance"
 
 # Order matters only for readable DDL dumps; creation is dependency-free
 # because foreign keys are by convention (ids), not enforced constraints.
@@ -194,6 +192,24 @@ def canonical_json(mapping) -> str:
                       separators=(",", ":"), ensure_ascii=False)
 
 
+def _sqlite_errors_as_store_errors(cls):
+    """Wrap every public method of ``cls`` so that a sqlite3 failure
+    leaves it as StoreError. Private helpers run inside those methods."""
+    def wrap(method):
+        @functools.wraps(method)
+        def wrapper(self, *args, **kwargs):
+            try:
+                return method(self, *args, **kwargs)
+            except sqlite3.Error as exc:
+                raise StoreError(f"{method.__name__}: {exc}") from exc
+        return wrapper
+
+    for name, member in list(vars(cls).items()):
+        if callable(member) and not name.startswith("_"):
+            setattr(cls, name, wrap(member))
+    return cls
+
+
 def schema_ddl() -> str:
     """The full DDL, for inspection or external tooling."""
     statements = [stmt.strip() + ";" for stmt in _TABLES.values()]
@@ -201,24 +217,23 @@ def schema_ddl() -> str:
     return "\n".join(statements) + "\n"
 
 
+@_sqlite_errors_as_store_errors
 class CdmStore:
     """Single-connection store over the fourteen-table schema.
 
     ``target`` is a filesystem path (":memory:" allowed) or an existing
-    DB-API connection. All public operations are transactional and
-    serialized by an internal lock, so one store object may be shared by
-    worker threads.
+    DB-API connection. Public operations are transactional and raise any
+    sqlite3 failure as StoreError. A store belongs to the thread that
+    opened it; use from another thread fails as StoreError.
     """
 
     def __init__(self, target):
-        self._lock = threading.RLock()
         self._type_ids: dict[str, int] = {}
         if hasattr(target, "cursor"):
             self._conn = target
         else:
             try:
-                self._conn = sqlite3.connect(str(target),
-                                             check_same_thread=False)
+                self._conn = sqlite3.connect(str(target))
             except sqlite3.Error as exc:
                 raise StoreError(f"cannot open store at {target}: {exc}") \
                     from exc
@@ -260,19 +275,14 @@ class CdmStore:
         tables created by this call; a repeat run returns an empty list.
         A same-named table with foreign columns aborts with
         MigrationRequiredError before anything is touched."""
-        with self._lock:
-            try:
-                before = self._table_names()
-                self._verify_columns(before)
-                with self._conn:
-                    for ddl in _TABLES.values():
-                        self._conn.execute(ddl)
-                    for ddl in _INDEXES:
-                        self._conn.execute(ddl)
-                return sorted(self._table_names() - before)
-            except sqlite3.Error as exc:
-                raise StoreError(f"schema initialization failed: {exc}") \
-                    from exc
+        before = self._table_names()
+        self._verify_columns(before)
+        with self._conn:
+            for ddl in _TABLES.values():
+                self._conn.execute(ddl)
+            for ddl in _INDEXES:
+                self._conn.execute(ddl)
+        return sorted(self._table_names() - before)
 
     # documents and annotations
 
@@ -352,98 +362,91 @@ class CdmStore:
             written += 1
         return written, remaps
 
+    @staticmethod
+    def _adopt_flushed(doc: Document, remaps) -> None:
+        """After commit: take the durable ids and mark the doc clean."""
+        for old_id, new_id in remaps:
+            doc.index.replace_id(old_id, new_id)
+            doc.index.by_id[new_id].doc_id = doc.id
+        doc.dirty.clear()
+
     def marshal_document(self, doc: Document) -> dict:
         """Persist the document row (when new or changed) and every dirty
         annotation. Returns row counts per table. Atomic: on any failure
         nothing is persisted and the dirty set is retained."""
-        with self._lock:
-            doc_rows = 0
-            source = doc.metadata.get("source", "")
-            data = canonical_json(doc.metadata)
-            try:
-                with self._conn:
-                    if doc.id is None:
-                        cur = self._conn.execute(
-                            "INSERT INTO documents "
-                            "(name, source, size, data, content) "
-                            "VALUES (?, ?, ?, ?, ?)",
-                            (doc.name, source, len(doc.content), data,
-                             doc.content),
-                        )
-                        doc.id = cur.lastrowid
-                        doc_rows = 1
-                    else:
-                        row = self._conn.execute(
-                            "SELECT name, source, size, data, content "
-                            "FROM documents WHERE id = ?", (doc.id,)
-                        ).fetchone()
-                        if row is None:
-                            raise NotFoundError(
-                                f"document id {doc.id} not in store"
-                            )
-                        current = (doc.name, source, len(doc.content),
-                                   data, doc.content)
-                        if tuple(row) != current:
-                            self._conn.execute(
-                                "UPDATE documents SET name = ?, source = ?,"
-                                " size = ?, data = ?, content = ?"
-                                " WHERE id = ?", current + (doc.id,),
-                            )
-                            doc_rows = 1
-                    ann_rows, remaps = self._flush_annotations(doc)
-            except sqlite3.Error as exc:
-                raise StoreError(f"marshal failed: {exc}") from exc
-            for old_id, new_id in remaps:
-                doc.index.replace_id(old_id, new_id)
-                doc.index.by_id[new_id].doc_id = doc.id
-            doc.dirty.clear()
-            return {"documents": doc_rows, "annotations": ann_rows}
+        doc_rows = 0
+        source = doc.metadata.get("source", "")
+        data = canonical_json(doc.metadata)
+        with self._conn:
+            if doc.id is None:
+                cur = self._conn.execute(
+                    "INSERT INTO documents "
+                    "(name, source, size, data, content) "
+                    "VALUES (?, ?, ?, ?, ?)",
+                    (doc.name, source, len(doc.content), data,
+                     doc.content),
+                )
+                doc.id = cur.lastrowid
+                doc_rows = 1
+            else:
+                row = self._conn.execute(
+                    "SELECT name, source, size, data, content "
+                    "FROM documents WHERE id = ?", (doc.id,)
+                ).fetchone()
+                if row is None:
+                    raise NotFoundError(
+                        f"document id {doc.id} not in store"
+                    )
+                current = (doc.name, source, len(doc.content),
+                           data, doc.content)
+                if tuple(row) != current:
+                    self._conn.execute(
+                        "UPDATE documents SET name = ?, source = ?,"
+                        " size = ?, data = ?, content = ?"
+                        " WHERE id = ?", current + (doc.id,),
+                    )
+                    doc_rows = 1
+            ann_rows, remaps = self._flush_annotations(doc)
+        self._adopt_flushed(doc, remaps)
+        return {"documents": doc_rows, "annotations": ann_rows}
 
     def checkpoint(self, doc: Document) -> int:
         """Write exactly the dirty annotations; returns how many. The
         document row is marshal's business, not checkpoint's."""
         if doc.id is None:
             raise StoreError("checkpoint before first marshal")
-        with self._lock:
-            try:
-                with self._conn:
-                    written, remaps = self._flush_annotations(doc)
-            except sqlite3.Error as exc:
-                raise StoreError(f"checkpoint failed: {exc}") from exc
-            for old_id, new_id in remaps:
-                doc.index.replace_id(old_id, new_id)
-                doc.index.by_id[new_id].doc_id = doc.id
-            doc.dirty.clear()
-            return written
+        with self._conn:
+            written, remaps = self._flush_annotations(doc)
+        self._adopt_flushed(doc, remaps)
+        return written
 
     def unmarshal_document(self, doc_id: int) -> Document:
         """Rebuild a document and its full annotation index from rows.
         The result starts clean: nothing is marked dirty."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT name, source, size, data, content FROM documents"
-                " WHERE id = ?", (doc_id,)
-            ).fetchone()
-            if row is None:
-                raise NotFoundError(f"no document with id {doc_id}")
-            name, _, _, data, content = row
-            doc = Document(name=name, content=content, doc_id=doc_id,
-                           metadata=json.loads(data))
-            rows = self._conn.execute(
-                'SELECT id, start, "end", type_id, value, data'
-                ' FROM annotations WHERE document_id = ?'
-                ' ORDER BY start, "end", id', (doc_id,)
-            ).fetchall()
-            for ann_id, start, end, type_id, value, ann_data in rows:
-                attributes = json.loads(ann_data)
-                provenance = attributes.pop(_PROVENANCE_KEY, "")
-                doc.index.add(Annotation(
-                    span=Interval(start, end),
-                    type_name=self._type_name(type_id), value=value,
-                    attributes=attributes, provenance=provenance,
-                    id=ann_id, doc_id=doc_id,
-                ))
-            return doc
+        row = self._conn.execute(
+            "SELECT name, source, size, data, content FROM documents"
+            " WHERE id = ?", (doc_id,)
+        ).fetchone()
+        if row is None:
+            raise NotFoundError(f"no document with id {doc_id}")
+        name, _, _, data, content = row
+        doc = Document(name=name, content=content, doc_id=doc_id,
+                       metadata=json.loads(data))
+        rows = self._conn.execute(
+            'SELECT id, start, "end", type_id, value, data'
+            ' FROM annotations WHERE document_id = ?'
+            ' ORDER BY start, "end", id', (doc_id,)
+        ).fetchall()
+        for ann_id, start, end, type_id, value, ann_data in rows:
+            attributes = json.loads(ann_data)
+            provenance = attributes.pop(_PROVENANCE_KEY, "")
+            doc.index.add(Annotation(
+                span=Interval(start, end),
+                type_name=self._type_name(type_id), value=value,
+                attributes=attributes, provenance=provenance,
+                id=ann_id, doc_id=doc_id,
+            ))
+        return doc
 
     def find_document(self, name: str) -> int | None:
         row = self._conn.execute(
@@ -460,50 +463,47 @@ class CdmStore:
                        ) -> list[AnnotationRef]:
         """Exact-match retrieval across documents via the (type, value)
         index. Unknown types yield an empty list, not an error."""
-        with self._lock:
-            row = self._conn.execute(
-                "SELECT id FROM annotation_types WHERE name = ?",
-                (type_name,),
-            ).fetchone()
-            if row is None:
-                return []
-            rows = self._conn.execute(
-                'SELECT id, document_id, start, "end", value'
-                ' FROM annotations WHERE type_id = ? AND value = ?'
-                ' ORDER BY document_id, start, "end", id',
-                (row[0], value),
-            ).fetchall()
-            return [AnnotationRef(r[0], r[1], r[2], r[3], type_name, r[4])
-                    for r in rows]
+        row = self._conn.execute(
+            "SELECT id FROM annotation_types WHERE name = ?",
+            (type_name,),
+        ).fetchone()
+        if row is None:
+            return []
+        rows = self._conn.execute(
+            'SELECT id, document_id, start, "end", value'
+            ' FROM annotations WHERE type_id = ? AND value = ?'
+            ' ORDER BY document_id, start, "end", id',
+            (row[0], value),
+        ).fetchall()
+        return [AnnotationRef(r[0], r[1], r[2], r[3], type_name, r[4])
+                for r in rows]
 
     # corpora
 
     def create_corpus(self, name: str, description: str = "",
                       metadata: dict | None = None) -> int:
-        with self._lock:
-            try:
-                with self._conn:
-                    cur = self._conn.execute(
-                        "INSERT INTO corpora (name, description, data)"
-                        " VALUES (?, ?, ?)",
-                        (name, description, canonical_json(metadata)),
-                    )
-                    return cur.lastrowid
-            except sqlite3.IntegrityError as exc:
-                raise ValidationError(
-                    f"corpus name {name!r} already exists"
-                ) from exc
+        try:
+            with self._conn:
+                cur = self._conn.execute(
+                    "INSERT INTO corpora (name, description, data)"
+                    " VALUES (?, ?, ?)",
+                    (name, description, canonical_json(metadata)),
+                )
+                return cur.lastrowid
+        except sqlite3.IntegrityError as exc:
+            raise ValidationError(
+                f"corpus name {name!r} already exists"
+            ) from exc
 
     def add_to_corpus(self, corpus_id: int, document_id: int) -> None:
-        with self._lock:
-            self._require_row("corpora", corpus_id)
-            self._require_row("documents", document_id)
-            with self._conn:
-                self._conn.execute(
-                    "INSERT OR IGNORE INTO corpora_documents"
-                    " (corpus_id, document_id) VALUES (?, ?)",
-                    (corpus_id, document_id),
-                )
+        self._require_row("corpora", corpus_id)
+        self._require_row("documents", document_id)
+        with self._conn:
+            self._conn.execute(
+                "INSERT OR IGNORE INTO corpora_documents"
+                " (corpus_id, document_id) VALUES (?, ?)",
+                (corpus_id, document_id),
+            )
 
     def find_corpus(self, name: str) -> int | None:
         row = self._conn.execute(
@@ -554,45 +554,43 @@ class CdmStore:
                 f"got {len(content_ids)}"
             )
         table = "documents" if content_kind == "document" else "annotations"
-        with self._lock:
-            self._require_row("corpora", corpus_id)
-            for cid in content_ids:
-                self._require_row(table, cid)
-            with self._conn:
-                cur = self._conn.execute(
-                    "INSERT INTO instances (corpus_id, kind, data)"
-                    " VALUES (?, ?, '{}')", (corpus_id, kind),
-                )
-                instance_id = cur.lastrowid
-                self._conn.executemany(
-                    "INSERT INTO instances_content"
-                    " (instance_id, content_kind, content_id)"
-                    " VALUES (?, ?, ?)",
-                    [(instance_id, content_kind, cid)
-                     for cid in content_ids],
-                )
-                return instance_id
+        self._require_row("corpora", corpus_id)
+        for cid in content_ids:
+            self._require_row(table, cid)
+        with self._conn:
+            cur = self._conn.execute(
+                "INSERT INTO instances (corpus_id, kind, data)"
+                " VALUES (?, ?, '{}')", (corpus_id, kind),
+            )
+            instance_id = cur.lastrowid
+            self._conn.executemany(
+                "INSERT INTO instances_content"
+                " (instance_id, content_kind, content_id)"
+                " VALUES (?, ?, ?)",
+                [(instance_id, content_kind, cid)
+                 for cid in content_ids],
+            )
+            return instance_id
 
     def create_instance_set(self, corpus_id: int, name: str, purpose: str,
                             instance_ids) -> int:
         instance_ids = list(instance_ids)
-        with self._lock:
-            self._require_row("corpora", corpus_id)
-            for iid in instance_ids:
-                self._require_row("instances", iid)
-            with self._conn:
-                cur = self._conn.execute(
-                    "INSERT INTO instance_sets (corpus_id, name, purpose,"
-                    " data) VALUES (?, ?, ?, '{}')",
-                    (corpus_id, name, purpose),
-                )
-                set_id = cur.lastrowid
-                self._conn.executemany(
-                    "INSERT INTO instance_set_members"
-                    " (instance_set_id, instance_id) VALUES (?, ?)",
-                    [(set_id, iid) for iid in instance_ids],
-                )
-                return set_id
+        self._require_row("corpora", corpus_id)
+        for iid in instance_ids:
+            self._require_row("instances", iid)
+        with self._conn:
+            cur = self._conn.execute(
+                "INSERT INTO instance_sets (corpus_id, name, purpose,"
+                " data) VALUES (?, ?, ?, '{}')",
+                (corpus_id, name, purpose),
+            )
+            set_id = cur.lastrowid
+            self._conn.executemany(
+                "INSERT INTO instance_set_members"
+                " (instance_set_id, instance_id) VALUES (?, ?)",
+                [(set_id, iid) for iid in instance_ids],
+            )
+            return set_id
 
     def instance_set_members(self, set_id: int) -> list[int]:
         return [r[0] for r in self._conn.execute(
@@ -603,24 +601,101 @@ class CdmStore:
     def set_groundtruth(self, instance_id: int, task: str, label: str,
                         data: dict | None = None) -> None:
         """Upsert on (instance_id, task): the latest label wins."""
-        with self._lock:
-            self._require_row("instances", instance_id)
-            with self._conn:
-                cur = self._conn.execute(
-                    "UPDATE groundtruth SET label = ?, data = ?"
-                    " WHERE instance_id = ? AND task = ?",
-                    (label, canonical_json(data), instance_id, task),
+        self._require_row("instances", instance_id)
+        with self._conn:
+            cur = self._conn.execute(
+                "UPDATE groundtruth SET label = ?, data = ?"
+                " WHERE instance_id = ? AND task = ?",
+                (label, canonical_json(data), instance_id, task),
+            )
+            if cur.rowcount == 0:
+                self._conn.execute(
+                    "INSERT INTO groundtruth"
+                    " (instance_id, task, label, data)"
+                    " VALUES (?, ?, ?, ?)",
+                    (instance_id, task, label, canonical_json(data)),
                 )
-                if cur.rowcount == 0:
-                    self._conn.execute(
-                        "INSERT INTO groundtruth"
-                        " (instance_id, task, label, data)"
-                        " VALUES (?, ?, ?, ?)",
-                        (instance_id, task, label, canonical_json(data)),
-                    )
 
     def groundtruth_for(self, instance_id: int) -> list[tuple[str, str]]:
         return [(r[0], r[1]) for r in self._conn.execute(
             "SELECT task, label FROM groundtruth WHERE instance_id = ?"
             " ORDER BY task", (instance_id,)
         )]
+
+    # graphs, as linkage rows (node1, node2, edge_label, node1_label,
+    # node2_label); a node without edges is one row with a null far end
+
+    def _insert_graph(self, name: str, graph_type: str, links) -> int:
+        """A graphs row and its linkage rows, in the open transaction."""
+        cur = self._conn.execute(
+            "INSERT INTO graphs (name, type, data) VALUES (?, ?, '{}')",
+            (name, graph_type))
+        graph_id = cur.lastrowid
+        self._conn.executemany(
+            "INSERT INTO linkage_graph (graph_id, node1, node2, edge_label,"
+            " node1_label, node2_label) VALUES (?, ?, ?, ?, ?, ?)",
+            [(graph_id, *link) for link in links])
+        return graph_id
+
+    def create_graph(self, name: str, graph_type: str, links) -> int:
+        with self._conn:
+            return self._insert_graph(name, graph_type, links)
+
+    def list_graphs(self, name_prefix: str | None = None,
+                    graph_type: str | None = None
+                    ) -> list[tuple[int, str, str]]:
+        """(id, name, type) rows, optionally filtered, ordered by id. The
+        name prefix matches exactly, case included."""
+        clauses, params = [], []
+        if name_prefix is not None:
+            clauses.append("substr(name, 1, length(?)) = ?")
+            params += [name_prefix, name_prefix]
+        if graph_type is not None:
+            clauses.append("type = ?")
+            params.append(graph_type)
+        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
+        return self._conn.execute(
+            f"SELECT id, name, type FROM graphs{where} ORDER BY id",
+            params).fetchall()
+
+    def graph_links(self, graph_id: int) -> tuple[str, str, list]:
+        """A graph's name, type and linkage rows in insertion order."""
+        head = self._conn.execute(
+            "SELECT name, type FROM graphs WHERE id = ?", (graph_id,)
+        ).fetchone()
+        if head is None:
+            raise DanglingReferenceError(f"no graph with id {graph_id}")
+        rows = self._conn.execute(
+            "SELECT node1, node2, edge_label, node1_label, node2_label"
+            " FROM linkage_graph WHERE graph_id = ? ORDER BY rowid",
+            (graph_id,)).fetchall()
+        return head[0], head[1], rows
+
+    def create_mining_results(self, patterns, mappings
+                              ) -> list[tuple[int, int]]:
+        """In one transaction: per pattern (name, graph_type, links,
+        support, data) a graph plus its sig_subgraph row; per mapping
+        (stored graph id, pattern index, node map) an lg_sigsub row.
+        Returns (graph id, sig_subgraph id) per pattern."""
+        embeddings = []
+        for graph_id, n, node_map in mappings:
+            if n not in range(len(patterns)):
+                raise ValidationError(f"mapping references pattern {n}, "
+                                      f"but only {len(patterns)} were given")
+            self._require_row("graphs", graph_id)
+            embeddings.append((graph_id, n, canonical_json(node_map)))
+        ids = []
+        with self._conn:
+            for name, graph_type, links, support, data in patterns:
+                graph_id = self._insert_graph(name, graph_type, links)
+                cur = self._conn.execute(
+                    "INSERT INTO sig_subgraph (subgraph_graph_id, support,"
+                    " data) VALUES (?, ?, ?)",
+                    (graph_id, support, canonical_json(data)))
+                ids.append((graph_id, cur.lastrowid))
+            self._conn.executemany(
+                "INSERT INTO lg_sigsub (graph_id, sig_subgraph_id,"
+                " node_mapping) VALUES (?, ?, ?)",
+                ((graph_id, ids[n][1], data)
+                 for graph_id, n, data in embeddings))
+        return ids

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from annokit.cli import main
+from annokit.graphs import list_graphs, load_graph
 from annokit.store import CdmStore
 
 DOC1 = "Cells express CD30. Biopsy showed large cell lymphoma."
@@ -430,3 +431,76 @@ class TestInstances:
     def test_unknown_corpus(self, ws, capsys):
         run(ws, "init")
         assert run(ws, "instances", "--corpus", "ghost") == 1
+
+
+class TestStoreWithoutSchema:
+    @pytest.mark.parametrize("argv", [
+        ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",
+         "--end", "5"],
+        ["segments", "--doc", "doc1.txt", "--first", "0:5",
+         "--second", "6:13"],
+        ["export", "--doc", "doc1.txt"],
+        ["instances", "--corpus", "notes"],
+        ["graph-mine", "--min-support", "1"],
+        ["run", "DOC", "--stages", "tokenize"],
+        ["import", "--annotations", "DEPS", "--doc", "doc1.txt"],
+    ], ids=["query", "segments", "export", "instances", "graph-mine", "run",
+            "import-annotations"])
+    def test_exit_2_with_one_error_line(self, ws, capsys, argv):
+        deps = ws / "deps.tsv"
+        deps.write_text(DEPS, encoding="utf-8")
+        given = {"DOC": write_doc(ws), "DEPS": str(deps)}
+        assert run(ws, *[given.get(arg, arg) for arg in argv]) == 2
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "no such table" in err
+
+
+SENTENCE = "Cells express CD30. "
+
+
+def sentence_deps(name, count):
+    """Dependency lines for ``count`` repetitions of SENTENCE."""
+    lines = []
+    for n in range(count):
+        at = n * len(SENTENCE)
+        for label, dep_start, dep_end in (("nsubj", 0, 5), ("dobj", 14, 18)):
+            lines.append(
+                f"{name}\t{at + 6}\t{at + 13}\tdependency\t{label}\t"
+                f"head_start={at + 6};head_end={at + 13};"
+                f"dependent_start={at + dep_start};"
+                f"dependent_end={at + dep_end}\n")
+    return "".join(lines)
+
+
+class TestJobs:
+    def graphs_after_run(self, root, jobs):
+        """Exit code and stored graphs of a graphs-stage run over three
+        documents with dependencies, at ``--jobs jobs``."""
+        ws = root / f"jobs{jobs}"
+        ws.mkdir()
+        (ws / "annokit.cfg").write_text(
+            f"store_path={ws / 'store.db'}\n", encoding="utf-8")
+        terms = ws / "terms.tsv"
+        terms.write_text(TERMS, encoding="utf-8")
+        add_cfg(ws, lexicon_terms=str(terms))
+        run(ws, "init")
+        paths = [write_doc(ws, f"d{n}.txt", SENTENCE * 3) for n in range(3)]
+        run(ws, "import", *paths)
+        for n in range(3):
+            deps = ws / f"d{n}.deps"
+            deps.write_text(sentence_deps(f"d{n}.txt", 3), encoding="utf-8")
+            run(ws, "import", "--annotations", str(deps), "--doc", f"d{n}.txt")
+        code = main(["--config", str(ws / "annokit.cfg"), "--jobs",
+                     str(jobs), "run", *paths, "--stages",
+                     "tokenize,sentences,concepts,graphs"])
+        with CdmStore(str(ws / "store.db")) as store:
+            listed = list_graphs(store)
+            loaded = [load_graph(store, gid) for gid, _, _ in listed]
+        return code, listed, loaded
+
+    def test_jobs_2_graphs_same_as_jobs_1(self, tmp_path, capsys):
+        serial = self.graphs_after_run(tmp_path, 1)
+        assert serial[0] == 0 and len(serial[1]) == 9
+        assert self.graphs_after_run(tmp_path, 2) == serial

@@ -1,7 +1,11 @@
 import io
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from annokit.documents import (
     Annotation,
@@ -347,3 +351,37 @@ def test_import_accepts_comments_and_blanks():
     ann = doc.annotations()[0]
     assert ann.attributes == {"k": "v"}
     assert ann.provenance == "ext"
+
+
+# text a UTF-8 file can hold, leaning on the separators and line breaks
+_ATTRIBUTE_TEXT = st.text(st.characters(codec="utf-8")
+                          | st.sampled_from(";=\\\t\n\r"))
+
+
+# "_provenance" is the reserved key that carries the provenance field
+@given(attributes=st.dictionaries(
+           _ATTRIBUTE_TEXT.filter(lambda key: key != "_provenance"),
+           _ATTRIBUTE_TEXT),
+       provenance=_ATTRIBUTE_TEXT)
+@example(attributes={"k": "a;b=c"}, provenance="")
+def test_tsv_attributes_round_trip_any_text(attributes, provenance):
+    doc = make_doc("abc", name="d")
+    doc.annotate(Interval(0, 3), "tag", "v", attributes, provenance)
+    back = make_doc("abc", name="d")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "d.ann")
+        export_annotations(doc, path)
+        assert import_external_annotations(back, path) == 1
+    [ann] = back.annotations()
+    assert ann.attributes == attributes
+    assert ann.provenance == provenance
+
+
+@pytest.mark.parametrize("attributes", ["k=a\\qb", "k=a\\"])
+def test_tsv_unknown_escape_rejected(attributes):
+    doc = make_doc("abc", name="d")
+    line = f"d\t0\t1\ttag\tv\t{attributes}\n"
+    with pytest.raises(ImportFormatError) as info:
+        import_external_annotations(doc, io.StringIO(line))
+    assert info.value.line_numbers == (1,)
+    assert doc.annotations() == []

@@ -16,6 +16,7 @@ from annokit.documents import Document
 from annokit.errors import (
     DanglingReferenceError,
     ImportFormatError,
+    StoreError,
     ValidationError,
 )
 from annokit.graphs import (
@@ -25,6 +26,7 @@ from annokit.graphs import (
     build_sentence_graphs,
     canonical_code,
     find_subgraph_occurrences,
+    list_graphs,
     load_graph,
     mine_frequent_subgraphs,
     persist_graph,
@@ -476,6 +478,39 @@ class TestPersistence:
         with pytest.raises(DanglingReferenceError):
             persist_mining_results(store, results, bad)
 
+    def test_name_prefix_matches_exactly(self):
+        store = self.make_store()
+        for name in ("Note.txt:0-5", "note.txt:0-5", "a%b:1", "aXb:1"):
+            persist_graph(store, LabeledGraph(nodes=["a"], name=name))
+
+        def names(prefix):
+            return [n for _, n, _ in list_graphs(store, name_prefix=prefix)]
+
+        assert names("note.txt:") == ["note.txt:0-5"]
+        assert names("a%b") == ["a%b:1"]
+        assert names("") == ["Note.txt:0-5", "note.txt:0-5", "a%b:1",
+                             "aXb:1"]
+
+    def test_mining_results_all_or_nothing(self):
+        store = self.make_store()
+        host = LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x")],
+                            name="g")
+        persist_graph(store, host)
+        results = mine_frequent_subgraphs([host], 1, max_nodes=2)
+        mappings = [SubgraphMapping(graph_id=host.id, subgraph_id=n,
+                                    node_map=m.node_map)
+                    for n, r in enumerate(results)
+                    for m in find_subgraph_occurrences(host, r.pattern)]
+        with store.connection:
+            store.connection.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON lg_sigsub"
+                " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        with pytest.raises(StoreError, match="refused"):
+            persist_mining_results(store, results, mappings)
+        assert list_graphs(store) == [(host.id, "g", "")]
+        assert store.connection.execute(
+            "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
+
 
 class TestInterchange:
     def test_round_trip(self):
@@ -511,3 +546,4 @@ class TestInterchange:
         text = "graph\t\tg\tdep\nn\t0\ta\nn\t2\tb\n"
         with pytest.raises(ImportFormatError):
             read_graph_file(io.StringIO(text))
+

@@ -252,3 +252,18 @@ class TestRenderOffsets:
             OffsetConvention.HALF_OPEN_0
         with pytest.raises(ValidationError):
             OffsetConvention.from_string("one-based")
+
+
+def test_split_records_texts_match_each_record_alone():
+    # many records, so that each one starts far into the corpus text
+    corpus = "<ROOT>\n" + "".join(
+        f'<RECORD id="r{n}"><TEXT>Note {n} &amp; seen on '
+        f'<PHI TYPE="Date">May {n}</PHI>.</TEXT></RECORD>\n'
+        for n in range(400)) + "</ROOT>"
+    records = split_records(corpus)
+    assert [r.record_id for r in records] == [f"r{n}" for n in range(400)]
+    for n, record in enumerate(records):
+        plain, anns = convert(record.raw_text)
+        assert record.plain_text == plain == f"Note {n} & seen on May {n}."
+        assert [(a.type_name, a.span) for a in record.annotations()] == \
+            [(a.type_name, a.span) for a in anns]

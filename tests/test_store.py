@@ -1,5 +1,6 @@
 import random
 import sqlite3
+import threading
 
 import pytest
 
@@ -319,3 +320,43 @@ def test_groundtruth_upserts():
     assert count == 1
     with pytest.raises(DanglingReferenceError):
         store.set_groundtruth(31337, "task", "label")
+
+
+@pytest.mark.parametrize("method, args", [
+    ("find_document", ("x",)),
+    ("list_documents", ()),
+    ("unmarshal_document", (1,)),
+    ("query_by_value", ("token", "x")),
+    ("find_corpus", ("x",)),
+    ("corpus_document_ids", (1,)),
+    ("corpus_instances", (1,)),
+    ("add_to_corpus", (1, 1)),
+    ("create_instance", (1, "document", [1])),
+    ("instance_set_members", (1,)),
+    ("set_groundtruth", (1, "task", "label")),
+    ("groundtruth_for", (1,)),
+    ("list_graphs", ()),
+    ("graph_links", (1,)),
+])
+def test_store_without_schema_raises_store_error(method, args):
+    with CdmStore(":memory:") as store:
+        with pytest.raises(StoreError, match="no such table"):
+            getattr(store, method)(*args)
+
+
+def test_store_used_from_another_thread_raises_store_error():
+    store = fresh_store()
+    raised = []
+
+    def use():
+        try:
+            store.find_document("x")
+        except StoreError as exc:
+            raised.append(exc)
+
+    worker = threading.Thread(target=use)
+    worker.start()
+    worker.join(timeout=10)
+    assert not worker.is_alive()
+    assert len(raised) == 1
+    store.close()
