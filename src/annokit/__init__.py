@@ -3,9 +3,10 @@
 Source text is never modified; every layer of analysis (tokens, sentences,
 sections, concepts, graphs) lives in annotations that point back into the
 text by character offset. The package provides interval algebra over those
-offsets, an interval-tree index with relation-aware pruning, a relational
-persistence layer, rule-driven section detection, dictionary concept
-tagging, frequent-subgraph mining, and inline-XML-to-standoff conversion.
+offsets, a start-sorted interval index with relation-aware pruning, a
+relational persistence layer, rule-driven section detection, dictionary
+concept tagging, frequent-subgraph mining, and inline-XML-to-standoff
+conversion.
 """
 
 from .concepts import Lexicon, annotate_concepts, annotate_sp_pos, annotate_tuis, load_lexicon

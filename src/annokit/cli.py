@@ -100,7 +100,7 @@ def _import_text_documents(store, paths, corpus_id):
             print(f"{name}: imported")
         except StoreError:
             raise
-        except (OSError, AnnokitError) as exc:
+        except (OSError, AnnokitError, UnicodeDecodeError) as exc:
             _print_error(f"{name}: {exc}")
             failed += 1
     return failed
@@ -271,7 +271,7 @@ def cmd_run(config: PipelineConfig, args) -> int:
                 gap = gap or exc
             except StoreError:
                 raise
-            except (OSError, AnnokitError) as exc:
+            except (OSError, AnnokitError, UnicodeDecodeError) as exc:
                 _print_error(f"{os.path.basename(path)}: {exc}")
                 failures += 1
     if gap is not None:
@@ -556,7 +556,7 @@ def main(argv=None) -> int:
     except StoreError as exc:
         _print_error(exc)
         return EXIT_STORE
-    except (AnnokitError, OSError) as exc:
+    except (AnnokitError, OSError, UnicodeDecodeError) as exc:
         _print_error(exc)
         return EXIT_FAILURE
 

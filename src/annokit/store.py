@@ -14,6 +14,7 @@ enter memory with provisional negative ids and get their durable ids from
 the store on first flush. No other module runs SQL.
 """
 
+import contextlib
 import functools
 import json
 import sqlite3
@@ -324,8 +325,23 @@ class CdmStore:
             payload = ann.attributes
         return canonical_json(payload)
 
-    def _flush_annotations(self, doc: Document) -> tuple[int, list]:
-        """Write dirty annotations inside the caller's transaction.
+    @contextlib.contextmanager
+    def _annotation_transaction(self):
+        """One commit-or-rollback unit around annotation writes. A rollback
+        also takes away the annotation_types rows inserted inside it, so
+        the type ids cached meanwhile are forgotten."""
+        known = dict(self._type_ids)
+        try:
+            with self._conn:
+                yield
+        except BaseException:
+            self._type_ids = known
+            raise
+
+    def _flush_annotations(self, doc: Document,
+                           doc_id: int) -> tuple[int, list]:
+        """Write dirty annotations of document ``doc_id`` inside the
+        caller's transaction.
 
         Returns (rows written, deferred id remaps). Remaps are applied by
         the caller only after commit so a rollback leaves the in-memory
@@ -342,7 +358,7 @@ class CdmStore:
                     'INSERT INTO annotations '
                     '(document_id, start, "end", type_id, value, data) '
                     'VALUES (?, ?, ?, ?, ?, ?)',
-                    (doc.id, ann.span.start, ann.span.end, type_id,
+                    (doc_id, ann.span.start, ann.span.end, type_id,
                      ann.value, data),
                 )
                 remaps.append((ann.id, cur.lastrowid))
@@ -351,7 +367,7 @@ class CdmStore:
                     'UPDATE annotations SET document_id = ?, start = ?, '
                     '"end" = ?, type_id = ?, value = ?, data = ? '
                     'WHERE id = ?',
-                    (doc.id, ann.span.start, ann.span.end, type_id,
+                    (doc_id, ann.span.start, ann.span.end, type_id,
                      ann.value, data, ann.id),
                 )
                 if cur.rowcount == 0:
@@ -377,8 +393,10 @@ class CdmStore:
         doc_rows = 0
         source = doc.metadata.get("source", "")
         data = canonical_json(doc.metadata)
-        with self._conn:
-            if doc.id is None:
+        # doc.id is assigned only after commit, like the annotation ids.
+        doc_id = doc.id
+        with self._annotation_transaction():
+            if doc_id is None:
                 cur = self._conn.execute(
                     "INSERT INTO documents "
                     "(name, source, size, data, content) "
@@ -386,16 +404,16 @@ class CdmStore:
                     (doc.name, source, len(doc.content), data,
                      doc.content),
                 )
-                doc.id = cur.lastrowid
+                doc_id = cur.lastrowid
                 doc_rows = 1
             else:
                 row = self._conn.execute(
                     "SELECT name, source, size, data, content "
-                    "FROM documents WHERE id = ?", (doc.id,)
+                    "FROM documents WHERE id = ?", (doc_id,)
                 ).fetchone()
                 if row is None:
                     raise NotFoundError(
-                        f"document id {doc.id} not in store"
+                        f"document id {doc_id} not in store"
                     )
                 current = (doc.name, source, len(doc.content),
                            data, doc.content)
@@ -403,10 +421,11 @@ class CdmStore:
                     self._conn.execute(
                         "UPDATE documents SET name = ?, source = ?,"
                         " size = ?, data = ?, content = ?"
-                        " WHERE id = ?", current + (doc.id,),
+                        " WHERE id = ?", current + (doc_id,),
                     )
                     doc_rows = 1
-            ann_rows, remaps = self._flush_annotations(doc)
+            ann_rows, remaps = self._flush_annotations(doc, doc_id)
+        doc.id = doc_id
         self._adopt_flushed(doc, remaps)
         return {"documents": doc_rows, "annotations": ann_rows}
 
@@ -415,8 +434,8 @@ class CdmStore:
         document row is marshal's business, not checkpoint's."""
         if doc.id is None:
             raise StoreError("checkpoint before first marshal")
-        with self._conn:
-            written, remaps = self._flush_annotations(doc)
+        with self._annotation_transaction():
+            written, remaps = self._flush_annotations(doc, doc.id)
         self._adopt_flushed(doc, remaps)
         return written
 

@@ -1,42 +1,41 @@
-"""Red-black interval tree with end-point augmentation and relation queries.
+"""Interval index over one start-sorted list, with relation queries.
 
-Keys are (start, end) pairs in canonical order: start ascending, end
-breaking ties. Equal intervals share one node and stack their payloads in
-insertion order, so an in-order walk reproduces the canonical annotation
-order exactly. Each node tracks the minimum and maximum end over its
-subtree; relation queries turn those into subtree-skipping bounds.
+Entries are ``(start, end, seq, interval, payload)`` tuples kept in
+canonical order: start ascending, end breaking ties, then ``seq``, a
+per-index insertion counter. Equal intervals therefore keep their
+payloads in insertion order, and iteration reproduces the canonical
+annotation order exactly. A start-sorted array is all that interval
+queries need (NCList, Alekseyenko & Lee, Bioinformatics 2007).
+
+Cost model. ``insert`` and ``remove`` bisect the key and shift the list
+tail in C; input in canonical order, as the store reads a document back,
+only appends. ``query`` bisects the start range that the relation allows
+and tests each entry in it. No entry is longer than ``max_len``, the
+longest span ever inserted, so the range's lower end is raised to
+``e_lo - max_len`` as well. EQ, STARTS, STARTED_BY, FINISHES, DURING,
+OVERLAPPED_BY, MET_BY and AFTER bound the start from below by the probe
+itself and scan little beyond their hits; BEFORE scans the entries
+starting before the probe. MEETS, CONTAINS, FINISHED_BY and OVERLAPS
+bound the start from below only through ``max_len``: once one long span
+is indexed (a section, the whole document) they scan every entry
+starting within ``max_len`` before the probe, about 1 ms per query on
+40k entries with one document-length span (Python 3.11, 2-vCPU VM).
+Nothing inside annokit issues those four relations.
 """
 
 import math
+from bisect import bisect_left, bisect_right
 
 from .errors import DuplicateEntryError, NotFoundError, ValidationError
 from .intervals import AllenRelation, Interval, holds
 
 INF = math.inf
 
-_RED = True
-_BLACK = False
-
-
-class _Node:
-    __slots__ = ("interval", "payloads", "color", "left", "right", "parent",
-                 "min_end", "max_end")
-
-    def __init__(self, interval, nil):
-        self.interval = interval
-        self.payloads = []
-        self.color = _RED
-        self.left = nil
-        self.right = nil
-        self.parent = nil
-        self.min_end = interval.end if interval is not None else INF
-        self.max_end = interval.end if interval is not None else -INF
-
 
 # Inclusive bounds (s_lo, s_hi, e_lo, e_hi) that any interval i satisfying
 # "i REL b" must obey, given b = (bs, be). Derived from the relation
 # predicates plus i.start <= i.end. Purely a pruning device: every visited
-# node is still tested with the exact predicate.
+# entry is still tested with the exact predicate.
 _BOUNDS = {
     AllenRelation.EQ: lambda bs, be: (bs, bs, be, be),
     AllenRelation.BEFORE: lambda bs, be: (0, bs - 1, 0, bs - 1),
@@ -62,385 +61,137 @@ class IntervalTree:
     """
 
     def __init__(self):
-        self._nil = _Node(None, None)
-        self._nil.color = _BLACK
-        self._nil.left = self._nil
-        self._nil.right = self._nil
-        self._nil.parent = self._nil
-        self._root = self._nil
-        self._size = 0
+        self._entries = []
+        self._seq = 0
         self._nodes = 0
-        # Nodes touched by the most recent query(), for pruning checks.
+        # Longest span ever inserted; never shrinks, so it stays a bound.
+        self._max_len = 0
+        # Entries scanned by the most recent query(), for pruning checks.
         self.last_visited = 0
 
     def __len__(self):
-        return self._size
+        return len(self._entries)
 
     @property
     def node_count(self) -> int:
+        """Number of distinct intervals stored."""
         return self._nodes
 
+    def _run(self, interval):
+        """Index range of the entries stored at exactly this interval."""
+        s, e = interval.start, interval.end
+        lo = bisect_left(self._entries, (s, e))
+        return lo, bisect_right(self._entries, (s, e, INF), lo)
+
     def __contains__(self, interval: Interval) -> bool:
-        return self._find_node(interval) is not self._nil
+        lo, hi = self._run(interval)
+        return lo < hi
 
     def find(self, interval: Interval) -> list:
         """Payloads stored at exactly this interval, in insertion order."""
-        node = self._find_node(interval)
-        if node is self._nil:
-            return []
-        return list(node.payloads)
+        lo, hi = self._run(interval)
+        return [entry[4] for entry in self._entries[lo:hi]]
 
     def __iter__(self):
         """Yield (interval, payload) pairs in canonical order."""
-        yield from self._inorder(self._root)
+        for entry in self._entries:
+            yield entry[3], entry[4]
 
-    def _inorder(self, x):
-        if x is self._nil:
-            return
-        yield from self._inorder(x.left)
-        for payload in x.payloads:
-            yield x.interval, payload
-        yield from self._inorder(x.right)
-
-    def _find_node(self, interval):
-        key = (interval.start, interval.end)
-        x = self._root
-        while x is not self._nil:
-            xkey = (x.interval.start, x.interval.end)
-            if key == xkey:
-                return x
-            x = x.left if key < xkey else x.right
-        return self._nil
-
-    # structural maintenance
-
-    def _refresh(self, x):
-        x.min_end = min(x.interval.end, x.left.min_end, x.right.min_end)
-        x.max_end = max(x.interval.end, x.left.max_end, x.right.max_end)
-
-    def _refresh_to_root(self, x):
-        while x is not self._nil:
-            self._refresh(x)
-            x = x.parent
-
-    def _rotate_left(self, x):
-        y = x.right
-        x.right = y.left
-        if y.left is not self._nil:
-            y.left.parent = x
-        y.parent = x.parent
-        if x.parent is self._nil:
-            self._root = y
-        elif x is x.parent.left:
-            x.parent.left = y
-        else:
-            x.parent.right = y
-        y.left = x
-        x.parent = y
-        self._refresh(x)
-        self._refresh(y)
-
-    def _rotate_right(self, x):
-        y = x.left
-        x.left = y.right
-        if y.right is not self._nil:
-            y.right.parent = x
-        y.parent = x.parent
-        if x.parent is self._nil:
-            self._root = y
-        elif x is x.parent.right:
-            x.parent.right = y
-        else:
-            x.parent.left = y
-        y.right = x
-        x.parent = y
-        self._refresh(x)
-        self._refresh(y)
+    def _position(self, lo, hi, payload):
+        """Index of ``payload`` among entries lo..hi-1, or -1."""
+        for k in range(lo, hi):
+            if self._entries[k][4] == payload:
+                return k
+        return -1
 
     def insert(self, interval: Interval, payload) -> None:
-        """Add one (interval, payload) entry.
-
-        Equal intervals share a node; re-adding a payload already present
-        on that node raises DuplicateEntryError.
-        """
-        existing = self._find_node(interval)
-        if existing is not self._nil:
-            if payload in existing.payloads:
-                raise DuplicateEntryError(
-                    f"entry ({interval}, {payload!r}) already present"
-                )
-            existing.payloads.append(payload)
-            self._size += 1
-            return
-
-        z = _Node(interval, self._nil)
-        z.payloads.append(payload)
-        key = (interval.start, interval.end)
-        y = self._nil
-        x = self._root
-        while x is not self._nil:
-            y = x
-            x = x.left if key < (x.interval.start, x.interval.end) else x.right
-        z.parent = y
-        if y is self._nil:
-            self._root = z
-        elif key < (y.interval.start, y.interval.end):
-            y.left = z
-        else:
-            y.right = z
-        self._size += 1
-        self._nodes += 1
-        self._refresh_to_root(z.parent)
-        self._insert_fixup(z)
-
-    def _insert_fixup(self, z):
-        while z.parent.color is _RED:
-            if z.parent is z.parent.parent.left:
-                y = z.parent.parent.right
-                if y.color is _RED:
-                    z.parent.color = _BLACK
-                    y.color = _BLACK
-                    z.parent.parent.color = _RED
-                    z = z.parent.parent
-                else:
-                    if z is z.parent.right:
-                        z = z.parent
-                        self._rotate_left(z)
-                    z.parent.color = _BLACK
-                    z.parent.parent.color = _RED
-                    self._rotate_right(z.parent.parent)
-            else:
-                y = z.parent.parent.left
-                if y.color is _RED:
-                    z.parent.color = _BLACK
-                    y.color = _BLACK
-                    z.parent.parent.color = _RED
-                    z = z.parent.parent
-                else:
-                    if z is z.parent.left:
-                        z = z.parent
-                        self._rotate_right(z)
-                    z.parent.color = _BLACK
-                    z.parent.parent.color = _RED
-                    self._rotate_left(z.parent.parent)
-        self._root.color = _BLACK
+        """Add one (interval, payload) entry after any others at the same
+        interval. Re-adding a payload already stored at that interval
+        raises DuplicateEntryError."""
+        lo, hi = self._run(interval)
+        if self._position(lo, hi, payload) >= 0:
+            raise DuplicateEntryError(
+                f"entry ({interval}, {payload!r}) already present"
+            )
+        s, e = interval.start, interval.end
+        self._entries.insert(hi, (s, e, self._seq, interval, payload))
+        self._seq += 1
+        if lo == hi:
+            self._nodes += 1
+        if e - s > self._max_len:
+            self._max_len = e - s
 
     def remove(self, interval: Interval, payload) -> None:
-        """Drop one entry. The node itself goes away only when its payload
-        list empties."""
-        z = self._find_node(interval)
-        if z is self._nil:
+        """Drop one entry. The interval stops counting as a node when its
+        last payload goes."""
+        lo, hi = self._run(interval)
+        if lo == hi:
             raise NotFoundError(f"no entries at {interval}")
-        try:
-            z.payloads.remove(payload)
-        except ValueError:
+        k = self._position(lo, hi, payload)
+        if k < 0:
             raise NotFoundError(
                 f"payload {payload!r} not present at {interval}"
-            ) from None
-        self._size -= 1
-        if z.payloads:
-            return
-        self._delete_node(z)
-        self._nodes -= 1
+            )
+        del self._entries[k]
+        if hi - lo == 1:
+            self._nodes -= 1
 
     def replace_payload(self, interval: Interval, old, new) -> None:
-        """Swap one payload for another without disturbing its position in
-        the node's insertion-ordered list."""
-        node = self._find_node(interval)
-        if node is self._nil:
+        """Swap one payload for another, keeping its ``seq`` and so its
+        place in canonical order."""
+        lo, hi = self._run(interval)
+        if lo == hi:
             raise NotFoundError(f"no entries at {interval}")
-        if new in node.payloads:
+        if self._position(lo, hi, new) >= 0:
             raise DuplicateEntryError(
                 f"entry ({interval}, {new!r}) already present"
             )
-        try:
-            where = node.payloads.index(old)
-        except ValueError:
-            raise NotFoundError(
-                f"payload {old!r} not present at {interval}"
-            ) from None
-        node.payloads[where] = new
-
-    def _transplant(self, u, v):
-        if u.parent is self._nil:
-            self._root = v
-        elif u is u.parent.left:
-            u.parent.left = v
-        else:
-            u.parent.right = v
-        v.parent = u.parent
-
-    def _delete_node(self, z):
-        y = z
-        y_was_black = y.color is _BLACK
-        if z.left is self._nil:
-            x = z.right
-            self._transplant(z, z.right)
-        elif z.right is self._nil:
-            x = z.left
-            self._transplant(z, z.left)
-        else:
-            y = z.right
-            while y.left is not self._nil:
-                y = y.left
-            y_was_black = y.color is _BLACK
-            x = y.right
-            if y.parent is z:
-                x.parent = y
-            else:
-                self._transplant(y, y.right)
-                y.right = z.right
-                y.right.parent = y
-            self._transplant(z, y)
-            y.left = z.left
-            y.left.parent = y
-            y.color = z.color
-        self._refresh_to_root(x.parent)
-        if y_was_black:
-            self._delete_fixup(x)
-        # The sentinel picks up a parent pointer during splicing; scrub it.
-        self._nil.parent = self._nil
-        self._nil.left = self._nil
-        self._nil.right = self._nil
-        self._nil.color = _BLACK
-
-    def _delete_fixup(self, x):
-        while x is not self._root and x.color is _BLACK:
-            if x is x.parent.left:
-                w = x.parent.right
-                if w.color is _RED:
-                    w.color = _BLACK
-                    x.parent.color = _RED
-                    self._rotate_left(x.parent)
-                    w = x.parent.right
-                if w.left.color is _BLACK and w.right.color is _BLACK:
-                    w.color = _RED
-                    x = x.parent
-                else:
-                    if w.right.color is _BLACK:
-                        w.left.color = _BLACK
-                        w.color = _RED
-                        self._rotate_right(w)
-                        w = x.parent.right
-                    w.color = x.parent.color
-                    x.parent.color = _BLACK
-                    w.right.color = _BLACK
-                    self._rotate_left(x.parent)
-                    x = self._root
-            else:
-                w = x.parent.left
-                if w.color is _RED:
-                    w.color = _BLACK
-                    x.parent.color = _RED
-                    self._rotate_right(x.parent)
-                    w = x.parent.left
-                if w.right.color is _BLACK and w.left.color is _BLACK:
-                    w.color = _RED
-                    x = x.parent
-                else:
-                    if w.left.color is _BLACK:
-                        w.right.color = _BLACK
-                        w.color = _RED
-                        self._rotate_left(w)
-                        w = x.parent.left
-                    w.color = x.parent.color
-                    x.parent.color = _BLACK
-                    w.left.color = _BLACK
-                    self._rotate_right(x.parent)
-                    x = self._root
-        x.color = _BLACK
+        k = self._position(lo, hi, old)
+        if k < 0:
+            raise NotFoundError(f"payload {old!r} not present at {interval}")
+        s, e, seq, iv, _ = self._entries[k]
+        self._entries[k] = (s, e, seq, iv, new)
 
     # queries
 
     def query(self, relation: AllenRelation, interval: Interval) -> list:
         """All (interval, payload) entries bearing ``relation`` to the query
         interval, in canonical order. Sets ``last_visited`` to the number of
-        nodes inspected."""
+        entries scanned."""
         s_lo, s_hi, e_lo, e_hi = _BOUNDS[relation](interval.start, interval.end)
         self.last_visited = 0
-        out = []
-        if s_lo > s_hi or e_lo > e_hi or self._root is self._nil:
-            return out
-        self._search(self._root, relation, interval, s_lo, s_hi, e_lo, e_hi, out)
-        return out
-
-    def _search(self, x, rel, b, s_lo, s_hi, e_lo, e_hi, out):
-        self.last_visited += 1
-        left = x.left
-        xs = x.interval.start
-        if (left is not self._nil and s_lo <= xs
-                and left.min_end <= e_hi and left.max_end >= e_lo):
-            self._search(left, rel, b, s_lo, s_hi, e_lo, e_hi, out)
-        if s_lo <= xs <= s_hi and holds(rel, x.interval, b):
-            for payload in x.payloads:
-                out.append((x.interval, payload))
-        right = x.right
-        if (right is not self._nil and s_hi >= xs
-                and right.min_end <= e_hi and right.max_end >= e_lo):
-            self._search(right, rel, b, s_lo, s_hi, e_lo, e_hi, out)
+        if s_lo > s_hi or e_lo > e_hi:
+            return []
+        entries = self._entries
+        lo = bisect_left(entries, (max(s_lo, e_lo - self._max_len),))
+        hi = bisect_right(entries, (s_hi, INF), lo)
+        self.last_visited = hi - lo
+        return [(iv, payload)
+                for _, end, _, iv, payload in entries[lo:hi]
+                if e_lo <= end <= e_hi and holds(relation, iv, interval)]
 
     # integrity
 
     def audit(self) -> dict:
         """Verify every structural invariant; raise ValidationError on the
         first violation, else return summary statistics."""
-        nil = self._nil
-        if nil.color is not _BLACK:
-            raise ValidationError("sentinel is not black")
-        if nil.min_end != INF or nil.max_end != -INF:
-            raise ValidationError("sentinel augmentation corrupted")
-        if self._root.color is not _BLACK:
-            raise ValidationError("root is not black")
-        if self._root is not nil and self._root.parent is not nil:
-            raise ValidationError("root has a parent")
-
-        keys = [(iv.start, iv.end) for iv, _ in self]
-        distinct = [k for n, k in enumerate(keys) if n == 0 or k != keys[n - 1]]
-        for a, b in zip(distinct, distinct[1:]):
-            if a >= b:
-                raise ValidationError(f"order violation: {a} before {b}")
-
-        stats = {"nodes": 0, "entries": 0, "height": 0}
-        stats["black_height"] = self._audit_node(self._root, stats, 0)
-        if stats["entries"] != self._size:
-            raise ValidationError(
-                f"size mismatch: tracked {self._size}, found {stats['entries']}"
-            )
-        if stats["nodes"] != self._nodes:
-            raise ValidationError(
-                f"node count mismatch: tracked {self._nodes}, "
-                f"found {stats['nodes']}"
-            )
-        return stats
-
-    def _audit_node(self, x, stats, depth):
-        if x is self._nil:
-            return 0
-        stats["nodes"] += 1
-        stats["entries"] += len(x.payloads)
-        stats["height"] = max(stats["height"], depth + 1)
-        if not x.payloads:
-            raise ValidationError(f"empty payload list at {x.interval}")
-        if x.color is _RED:
-            if x.left.color is _RED or x.right.color is _RED:
-                raise ValidationError(f"red node {x.interval} has a red child")
-        for child in (x.left, x.right):
-            if child is not self._nil and child.parent is not x:
+        nodes = 0
+        previous = None
+        for s, e, seq, iv, _ in self._entries:
+            key = (s, e, seq)
+            if previous is not None and previous >= key:
+                raise ValidationError(f"order violation: {previous} before {key}")
+            if (iv.start, iv.end) != (s, e):
+                raise ValidationError(f"key {(s, e)} stored for {iv}")
+            if e - s > self._max_len:
                 raise ValidationError(
-                    f"broken parent link under {x.interval}"
+                    f"{iv} is longer than the length bound {self._max_len}"
                 )
-        expect_min = min(x.interval.end, x.left.min_end, x.right.min_end)
-        expect_max = max(x.interval.end, x.left.max_end, x.right.max_end)
-        if x.min_end != expect_min or x.max_end != expect_max:
+            if previous is None or previous[:2] != (s, e):
+                nodes += 1
+            previous = key
+        if nodes != self._nodes:
             raise ValidationError(
-                f"stale augmentation at {x.interval}: "
-                f"({x.min_end},{x.max_end}) vs ({expect_min},{expect_max})"
+                f"node count mismatch: tracked {self._nodes}, found {nodes}"
             )
-        bh_left = self._audit_node(x.left, stats, depth + 1)
-        bh_right = self._audit_node(x.right, stats, depth + 1)
-        if bh_left != bh_right:
-            raise ValidationError(
-                f"black-height mismatch at {x.interval}: "
-                f"{bh_left} vs {bh_right}"
-            )
-        return bh_left + (1 if x.color is _BLACK else 0)
+        return {"nodes": nodes, "entries": len(self._entries)}

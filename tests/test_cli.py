@@ -105,6 +105,25 @@ class TestImportAndRun:
         assert run(ws, "import", path) == 0
         assert "skipped" in capsys.readouterr().out
 
+    def test_non_utf8_document_is_one_error_line(self, ws, capsys):
+        run(ws, "init")
+        capsys.readouterr()
+        path = ws / "latin1.txt"
+        path.write_bytes("Patient seen at the caf\u00e9.\n".encode("latin-1"))
+        assert run(ws, "import", str(path), write_doc(ws)) == 1
+        out, err = capsys.readouterr()
+        assert err.count("error:") == 1
+        assert err.startswith("error: latin1.txt:") and "utf-8" in err
+        assert "doc1.txt: imported" in out
+        assert run(ws, "run", str(path), "--stages", "tokenize") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith("error: latin1.txt:") and "utf-8" in err
+        assert run(ws, "import", "--inline", str(path)) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert err.startswith("error:") and "utf-8" in err
+
     def test_run_tokenize_sentences(self, ws, capsys):
         run(ws, "init")
         p1 = write_doc(ws)

@@ -360,3 +360,50 @@ def test_store_used_from_another_thread_raises_store_error():
     assert not worker.is_alive()
     assert len(raised) == 1
     store.close()
+
+
+def refuse_annotation_inserts(store):
+    with store.connection:
+        store.connection.execute(
+            "CREATE TRIGGER refuse BEFORE INSERT ON annotations"
+            " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+
+
+def allow_annotation_inserts(store):
+    with store.connection:
+        store.connection.execute("DROP TRIGGER refuse")
+
+
+def test_marshal_retry_after_rollback_succeeds():
+    store = fresh_store()
+    doc = Document("retry", "alpha beta")
+    doc.annotate(Interval(0, 5), "token", "alpha")
+    refuse_annotation_inserts(store)
+    with pytest.raises(StoreError, match="refused"):
+        store.marshal_document(doc)
+    assert doc.id is None
+    assert store.list_documents() == []
+    allow_annotation_inserts(store)
+    assert store.marshal_document(doc) == {"documents": 1, "annotations": 1}
+    back = store.unmarshal_document(doc.id)
+    assert [(a.span, a.value) for a in back.annotations()] == [
+        (Interval(0, 5), "alpha")]
+
+
+def test_type_ids_of_a_rolled_back_checkpoint_are_forgotten(tmp_path):
+    path = tmp_path / "store.db"
+    with CdmStore(path) as store:
+        store.init_schema()
+        doc = Document("types", "alpha beta")
+        doc.annotate(Interval(0, 5), "token", "alpha")
+        store.marshal_document(doc)
+        doc.annotate(Interval(6, 10), "concept", "beta")
+        refuse_annotation_inserts(store)
+        with pytest.raises(StoreError, match="refused"):
+            store.checkpoint(doc)
+        allow_annotation_inserts(store)
+        assert store.checkpoint(doc) == 1
+    with CdmStore(path) as reopened:
+        back = reopened.unmarshal_document(doc.id)
+    assert [(a.type_name, a.value) for a in back.annotations()] == [
+        ("token", "alpha"), ("concept", "beta")]

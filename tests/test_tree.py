@@ -1,6 +1,14 @@
 import random
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+)
 
 from annokit.errors import DuplicateEntryError, NotFoundError
 from annokit.intervals import AllenRelation, Interval, holds
@@ -210,3 +218,111 @@ def test_visited_counter_resets_per_query():
     assert first > 0
     tree.query(AllenRelation.EQ, Interval(3, 4))
     assert tree.last_visited < first
+
+
+def test_long_span_keeps_oracle_and_pins_cost():
+    # Short spans plus one document-length span, as a section or a whole-
+    # document annotation makes: the long span raises the length bound to
+    # the document length. Relations whose start range the probe bounds
+    # from below must still scan a small part of the index.
+    rng = random.Random(3003)
+    doc_len = 20_000
+    entries = [(Interval(0, doc_len), "document")]
+    for n in range(2_000):
+        s = n * 10 + rng.randrange(0, 3)
+        entries.append((Interval(s, s + rng.randrange(0, 8)), n))
+    rng.shuffle(entries)
+    tree = build(entries)
+    tree.audit()
+    late = [iv for iv, _ in entries if iv.start >= doc_len - 600][:20]
+    late += [Interval(s, s + rng.randrange(0, 30))
+             for s in rng.sample(range(doc_len - 600, doc_len - 30), 20)]
+    anywhere = [Interval(s, s + rng.randrange(0, 50))
+                for s in rng.sample(range(doc_len - 50), 20)]
+    for b in late + anywhere + [Interval(0, doc_len), Interval(0, 0)]:
+        for rel in AllenRelation:
+            assert tree.query(rel, b) == oracle_query(entries, rel, b), (
+                f"{rel} on {b}")
+    pinned = (AllenRelation.EQ, AllenRelation.STARTS,
+              AllenRelation.STARTED_BY, AllenRelation.FINISHES,
+              AllenRelation.DURING, AllenRelation.OVERLAPPED_BY,
+              AllenRelation.MET_BY, AllenRelation.AFTER)
+    for b in late:
+        for rel in pinned:
+            tree.query(rel, b)
+            assert tree.last_visited < 0.10 * tree.node_count, (
+                f"{rel.name} on {b} visited {tree.last_visited}")
+
+
+SPANS = st.builds(lambda s, n: Interval(s, s + n),
+                  st.integers(0, 10), st.integers(0, 5))
+
+
+class TreeMachine(RuleBasedStateMachine):
+    """Drives an IntervalTree and a plain list of (interval, payload)
+    entries in insertion order through the same operations."""
+
+    def __init__(self):
+        super().__init__()
+        self.tree = IntervalTree()
+        self.entries = []
+        self.serial = 0
+
+    @rule(iv=SPANS)
+    def insert(self, iv):
+        self.tree.insert(iv, self.serial)
+        self.entries.append((iv, self.serial))
+        self.serial += 1
+
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data())
+    def insert_duplicate(self, data):
+        iv, payload = data.draw(st.sampled_from(self.entries))
+        with pytest.raises(DuplicateEntryError):
+            self.tree.insert(iv, payload)
+
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data())
+    def remove(self, data):
+        entry = data.draw(st.sampled_from(self.entries))
+        self.tree.remove(*entry)
+        self.entries.remove(entry)
+
+    @rule(iv=SPANS)
+    def remove_missing(self, iv):
+        with pytest.raises(NotFoundError):
+            self.tree.remove(iv, -1)
+
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data())
+    def replace_payload(self, data):
+        k = data.draw(st.integers(0, len(self.entries) - 1))
+        iv, old = self.entries[k]
+        self.tree.replace_payload(iv, old, self.serial)
+        self.entries[k] = (iv, self.serial)
+        self.serial += 1
+
+    @rule(iv=SPANS)
+    def find(self, iv):
+        want = [p for i, p in self.entries if i == iv]
+        assert self.tree.find(iv) == want
+        assert (iv in self.tree) == bool(want)
+
+    @rule(b=SPANS)
+    def query(self, b):
+        for rel in AllenRelation:
+            assert self.tree.query(rel, b) == oracle_query(self.entries, rel, b)
+
+    @invariant()
+    def matches_oracle(self):
+        canon = sorted(self.entries, key=lambda e: (e[0].start, e[0].end))
+        nodes = len({iv for iv, _ in canon})
+        assert len(self.tree) == len(canon)
+        assert self.tree.node_count == nodes
+        assert list(self.tree) == canon
+        assert self.tree.audit() == {"nodes": nodes, "entries": len(canon)}
+
+
+TreeMachine.TestCase.settings = settings(
+    max_examples=100, stateful_step_count=50, deadline=None)
+TestTreeMachine = TreeMachine.TestCase
