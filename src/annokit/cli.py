@@ -188,35 +188,35 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
     """Execute one stage unless its output already exists. Returns the
     number of graphs persisted (graphs stage only)."""
     if stage == "tokenize":
-        if not doc.annotations("token"):
+        if "token" not in doc.index.by_type:
             for ann in doc_tools.tokenize(doc):
                 doc.add_annotation(ann)
     elif stage == "sentences":
-        if not doc.annotations("sentence"):
+        if "sentence" not in doc.index.by_type:
             for ann in doc_tools.split_sentences(
                     doc, resources.abbreviations):
                 doc.add_annotation(ann)
     elif stage == "sections":
-        if not doc.annotations("section"):
+        if "section" not in doc.index.by_type:
             section_tools.detect_sections(doc, resources.guideline)
             section_tools.match_templates(doc, resources.guideline)
     elif stage == "concepts":
-        if not doc.annotations("token") and "tokenize" not in stages:
+        if "token" not in doc.index.by_type and "tokenize" not in stages:
             raise PrerequisiteGapError(
                 f"{doc.name}: concepts requires tokens;"
                 " run the tokenize stage first")
-        if not doc.annotations("CUI"):
+        if "CUI" not in doc.index.by_type:
             for sentence in doc.annotations("sentence"):
                 concept_tools.annotate_concepts(doc, sentence,
                                                 resources.lexicon)
             concept_tools.annotate_tuis(doc, resources.lexicon)
             concept_tools.annotate_sp_pos(doc, resources.lexicon)
     elif stage == "graphs":
-        if not doc.annotations("CUI") and "concepts" not in stages:
+        if "CUI" not in doc.index.by_type and "concepts" not in stages:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires concepts;"
                 " run the concepts stage first")
-        if not doc.annotations("dependency"):
+        if "dependency" not in doc.index.by_type:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires imported dependency"
                 " annotations")

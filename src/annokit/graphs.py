@@ -14,13 +14,24 @@ import logging
 from collections import namedtuple
 from dataclasses import dataclass, field
 
-from .documents import Annotation, Document, content_lines, open_text
+from .documents import (
+    Annotation,
+    Document,
+    _escape,
+    _unescape,
+    content_lines,
+    open_text,
+)
 from .errors import ImportFormatError, ValidationError
 from .store import CdmStore
 
 log = logging.getLogger(__name__)
 
 MAX_CANONICAL_NODES = 8
+
+# A canonical code's separators are backslash-escaped inside labels, so
+# that no two different graphs render to the same code.
+_CODE_ESCAPES = str.maketrans({char: "\\" + char for char in "\\,#;>:"})
 
 
 @dataclass
@@ -235,19 +246,23 @@ def _occurs_in(host: LabeledGraph, pattern: LabeledGraph) -> bool:
 def canonical_code(graph: LabeledGraph) -> str:
     """Label-ordering-invariant encoding: the lexicographically smallest
     rendering over all node permutations. Exact but factorial; guarded
-    to small graphs."""
+    to small graphs. Separators inside labels are escaped, so that they
+    cannot make two different graphs render alike."""
     n = len(graph.nodes)
     if n > MAX_CANONICAL_NODES:
         raise ValidationError(
             f"canonical code limited to {MAX_CANONICAL_NODES} nodes, "
             f"got {n}"
         )
+    nodes = [label.translate(_CODE_ESCAPES) for label in graph.nodes]
+    graph_edges = [(s, d, l.translate(_CODE_ESCAPES))
+                   for s, d, l in graph.edges]
     best = None
     for perm in itertools.permutations(range(n)):
         position = {old: new for new, old in enumerate(perm)}
-        labels = ",".join(graph.nodes[old] for old in perm)
+        labels = ",".join(nodes[old] for old in perm)
         edges = sorted((position[s], position[d], l)
-                       for s, d, l in graph.edges)
+                       for s, d, l in graph_edges)
         code = labels + "#" + ";".join(f"{s}>{d}:{l}" for s, d, l in edges)
         if best is None or code < best:
             best = code
@@ -419,15 +434,18 @@ def persist_mining_results(store: CdmStore, results: list[MinedPattern],
 
 def write_graph_file(graphs: list[LabeledGraph], dest) -> int:
     """Flat node-edge-list format: a ``graph`` header line, then ``n``
-    and ``e`` lines. Returns the number of graphs written."""
+    and ``e`` lines. Names, types and labels are written with the escapes
+    of the annotation exchange format, so any text survives a round trip.
+    Returns the number of graphs written."""
     with open_text(dest, "w") as handle:
         for g in graphs:
             gid = "" if g.id is None else str(g.id)
-            handle.write(f"graph\t{gid}\t{g.name}\t{g.graph_type}\n")
+            handle.write(f"graph\t{gid}\t{_escape(g.name)}"
+                         f"\t{_escape(g.graph_type)}\n")
             for n, label in enumerate(g.nodes):
-                handle.write(f"n\t{n}\t{label}\n")
+                handle.write(f"n\t{n}\t{_escape(label)}\n")
             for s, d, l in g.edges:
-                handle.write(f"e\t{s}\t{d}\t{l}\n")
+                handle.write(f"e\t{s}\t{d}\t{_escape(l)}\n")
     return len(graphs)
 
 
@@ -453,12 +471,13 @@ def read_graph_file(src) -> list[LabeledGraph]:
             if kind == "graph" and len(fields) == 4:
                 finish()
                 gid = int(fields[1]) if fields[1] else None
-                current = (gid, fields[2], fields[3], {}, [])
+                current = (gid, _unescape(fields[2]), _unescape(fields[3]),
+                           {}, [])
             elif kind == "n" and len(fields) == 3 and current is not None:
-                current[3][int(fields[1])] = fields[2]
+                current[3][int(fields[1])] = _unescape(fields[2])
             elif kind == "e" and len(fields) == 4 and current is not None:
                 current[4].append((int(fields[1]), int(fields[2]),
-                                   fields[3]))
+                                   _unescape(fields[3])))
             else:
                 raise ValueError(f"unrecognized line kind {kind!r}")
         except (ValueError, ValidationError) as exc:

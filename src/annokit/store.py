@@ -12,6 +12,12 @@ Documents flush through a dirty set: marshal writes the document row and
 dirty annotations, checkpoint writes dirty annotations only. Annotations
 enter memory with provisional negative ids and get their durable ids from
 the store on first flush. No other module runs SQL.
+
+A store keeps no state but its connection. Each flush and each unmarshal
+resolves annotation type names against ``annotation_types`` within its
+own call, so no type id outlives the transaction that made it. Each
+table's columns are declared once, in its DDL; the check that an existing
+store has the expected columns reads them back from that DDL.
 """
 
 import contextlib
@@ -135,24 +141,21 @@ _TABLES = {
         )""",
 }
 
-_EXPECTED_COLUMNS = {
-    "corpora": ("id", "name", "description", "data"),
-    "corpora_documents": ("corpus_id", "document_id"),
-    "documents": ("id", "name", "source", "size", "data", "content"),
-    "annotations": ("id", "document_id", "start", "end", "type_id",
-                    "value", "data"),
-    "annotation_types": ("id", "name", "description"),
-    "instances": ("id", "corpus_id", "kind", "data"),
-    "instances_content": ("instance_id", "content_kind", "content_id"),
-    "instance_sets": ("id", "corpus_id", "name", "purpose", "data"),
-    "instance_set_members": ("instance_set_id", "instance_id"),
-    "groundtruth": ("instance_id", "task", "label", "data"),
-    "graphs": ("id", "name", "type", "data"),
-    "linkage_graph": ("graph_id", "node1", "node2", "edge_label",
-                      "node1_label", "node2_label"),
-    "sig_subgraph": ("id", "subgraph_graph_id", "support", "data"),
-    "lg_sigsub": ("graph_id", "sig_subgraph_id", "node_mapping"),
-}
+
+@functools.cache
+def _declared_columns() -> dict[str, tuple[str, ...]]:
+    """Each table's column names as ``_TABLES`` declares them, read back
+    from that DDL run once on a private in-memory database. Computed on
+    first use, not at import, so that a process that never checks an
+    existing store never opens it."""
+    with contextlib.closing(sqlite3.connect(":memory:")) as conn:
+        columns = {}
+        for table, ddl in _TABLES.items():
+            conn.execute(ddl)
+            cur = conn.execute(f'SELECT * FROM "{table}" LIMIT 0')
+            columns[table] = tuple(col[0] for col in cur.description)
+        return columns
+
 
 _INDEXES = (
     "CREATE INDEX IF NOT EXISTS idx_annotations_document"
@@ -229,7 +232,6 @@ class CdmStore:
     """
 
     def __init__(self, target):
-        self._type_ids: dict[str, int] = {}
         if hasattr(target, "cursor"):
             self._conn = target
         else:
@@ -262,13 +264,14 @@ class CdmStore:
         return {r[0] for r in rows}
 
     def _verify_columns(self, existing: set[str]) -> None:
-        for table in sorted(existing & set(_EXPECTED_COLUMNS)):
+        for table in sorted(existing & set(_TABLES)):
             cur = self._conn.execute(f'SELECT * FROM "{table}" LIMIT 0')
             found = tuple(col[0] for col in cur.description)
-            if found != _EXPECTED_COLUMNS[table]:
+            expected = _declared_columns()[table]
+            if found != expected:
                 raise MigrationRequiredError(
                     f"table {table!r} has columns {found}, "
-                    f"expected {_EXPECTED_COLUMNS[table]}"
+                    f"expected {expected}"
                 )
 
     def init_schema(self) -> list[str]:
@@ -287,35 +290,6 @@ class CdmStore:
 
     # documents and annotations
 
-    def _type_id(self, name: str) -> int:
-        cached = self._type_ids.get(name)
-        if cached is not None:
-            return cached
-        row = self._conn.execute(
-            "SELECT id FROM annotation_types WHERE name = ?", (name,)
-        ).fetchone()
-        if row is None:
-            cur = self._conn.execute(
-                "INSERT INTO annotation_types (name) VALUES (?)", (name,)
-            )
-            type_id = cur.lastrowid
-        else:
-            type_id = row[0]
-        self._type_ids[name] = type_id
-        return type_id
-
-    def _type_name(self, type_id: int) -> str:
-        for name, known in self._type_ids.items():
-            if known == type_id:
-                return name
-        row = self._conn.execute(
-            "SELECT name FROM annotation_types WHERE id = ?", (type_id,)
-        ).fetchone()
-        if row is None:
-            raise NotFoundError(f"unknown annotation type id {type_id}")
-        self._type_ids[row[0]] = type_id
-        return row[0]
-
     @staticmethod
     def _annotation_data(ann: Annotation) -> str:
         if ann.provenance:
@@ -325,19 +299,6 @@ class CdmStore:
             payload = ann.attributes
         return canonical_json(payload)
 
-    @contextlib.contextmanager
-    def _annotation_transaction(self):
-        """One commit-or-rollback unit around annotation writes. A rollback
-        also takes away the annotation_types rows inserted inside it, so
-        the type ids cached meanwhile are forgotten."""
-        known = dict(self._type_ids)
-        try:
-            with self._conn:
-                yield
-        except BaseException:
-            self._type_ids = known
-            raise
-
     def _flush_annotations(self, doc: Document,
                            doc_id: int) -> tuple[int, list]:
         """Write dirty annotations of document ``doc_id`` inside the
@@ -345,14 +306,23 @@ class CdmStore:
 
         Returns (rows written, deferred id remaps). Remaps are applied by
         the caller only after commit so a rollback leaves the in-memory
-        document consistent with the store.
+        document consistent with the store. Type ids are resolved here,
+        in the same transaction, and kept nowhere else, so a rollback
+        cannot leave an id behind whose row it took away.
         """
         written = 0
         remaps = []
         pending = [ann for ann in doc.annotations() if ann.id in doc.dirty]
+        type_ids = dict(self._conn.execute(
+            "SELECT name, id FROM annotation_types"))
+        for name in dict.fromkeys(ann.type_name for ann in pending):
+            if name not in type_ids:
+                type_ids[name] = self._conn.execute(
+                    "INSERT INTO annotation_types (name) VALUES (?)",
+                    (name,)).lastrowid
         for ann in pending:
             data = self._annotation_data(ann)
-            type_id = self._type_id(ann.type_name)
+            type_id = type_ids[ann.type_name]
             if ann.id < 0:
                 cur = self._conn.execute(
                     'INSERT INTO annotations '
@@ -395,7 +365,7 @@ class CdmStore:
         data = canonical_json(doc.metadata)
         # doc.id is assigned only after commit, like the annotation ids.
         doc_id = doc.id
-        with self._annotation_transaction():
+        with self._conn:
             if doc_id is None:
                 cur = self._conn.execute(
                     "INSERT INTO documents "
@@ -434,7 +404,7 @@ class CdmStore:
         document row is marshal's business, not checkpoint's."""
         if doc.id is None:
             raise StoreError("checkpoint before first marshal")
-        with self._annotation_transaction():
+        with self._conn:
             written, remaps = self._flush_annotations(doc, doc.id)
         self._adopt_flushed(doc, remaps)
         return written
@@ -451,17 +421,21 @@ class CdmStore:
         name, _, _, data, content = row
         doc = Document(name=name, content=content, doc_id=doc_id,
                        metadata=json.loads(data))
+        type_names = dict(self._conn.execute(
+            "SELECT id, name FROM annotation_types"))
         rows = self._conn.execute(
             'SELECT id, start, "end", type_id, value, data'
             ' FROM annotations WHERE document_id = ?'
             ' ORDER BY start, "end", id', (doc_id,)
         ).fetchall()
         for ann_id, start, end, type_id, value, ann_data in rows:
+            if type_id not in type_names:
+                raise NotFoundError(f"unknown annotation type id {type_id}")
             attributes = json.loads(ann_data)
             provenance = attributes.pop(_PROVENANCE_KEY, "")
             doc.index.add(Annotation(
                 span=Interval(start, end),
-                type_name=self._type_name(type_id), value=value,
+                type_name=type_names[type_id], value=value,
                 attributes=attributes, provenance=provenance,
                 id=ann_id, doc_id=doc_id,
             ))

@@ -8,9 +8,13 @@ the canonical encoder (which gets its own invariance tests).
 
 import io
 import itertools
+import os
 import random
+import tempfile
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from annokit.documents import Document
 from annokit.errors import (
@@ -286,6 +290,19 @@ class TestCanonicalCode:
         with pytest.raises(ValidationError):
             canonical_code(g)
 
+    @pytest.mark.parametrize("one, two", [
+        (LabeledGraph(nodes=["a,b"]), LabeledGraph(nodes=["a", "b"])),
+        (LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x;0>1:y")]),
+         LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x"), (0, 1, "y")])),
+    ], ids=["node-comma", "edge-separators"])
+    def test_separators_in_labels_do_not_collide(self, one, two):
+        assert canonical_code(one) != canonical_code(two)
+
+    def test_plain_labels_keep_their_code(self):
+        g = LabeledGraph(nodes=["b", "a", "c"],
+                         edges=[(0, 1, "x"), (2, 1, "y")])
+        assert canonical_code(g) == "a,b,c#1>0:x;2>0:y"
+
 
 def weakly_connected(node_ids, edges):
     if len(node_ids) == 1:
@@ -512,6 +529,10 @@ class TestPersistence:
             "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
 
 
+_GRAPH_TEXT = st.text(st.characters(codec="utf-8")
+                      | st.sampled_from(";=\\\t\n\r"))
+
+
 class TestInterchange:
     def test_round_trip(self):
         graphs = [
@@ -538,6 +559,28 @@ class TestInterchange:
 
     def test_malformed_line(self):
         text = "graph\t\tg\tdep\nn\t0\ta\nq\tbogus\n"
+        with pytest.raises(ImportFormatError) as err:
+            read_graph_file(io.StringIO(text))
+        assert err.value.line_numbers == (3,)
+
+    @given(name=_GRAPH_TEXT, graph_type=_GRAPH_TEXT,
+           labels=st.lists(_GRAPH_TEXT, min_size=2, max_size=3),
+           edge_label=_GRAPH_TEXT)
+    @example(name="g\t1", graph_type="t\r", labels=["x\ty", "a\nb"],
+             edge_label="\\")
+    def test_any_text_round_trips(self, name, graph_type, labels,
+                                  edge_label):
+        graph = LabeledGraph(nodes=labels, edges=[(0, 1, edge_label)],
+                             name=name, graph_type=graph_type)
+        with tempfile.TemporaryDirectory() as directory:
+            path = os.path.join(directory, "graphs.tsv")
+            write_graph_file([graph], path)
+            [back] = read_graph_file(path)
+        assert (back.name, back.graph_type, back.nodes, back.edges) == (
+            graph.name, graph.graph_type, graph.nodes, graph.edges)
+
+    def test_unknown_escape_rejected(self):
+        text = "graph\t\tg\tdep\nn\t0\ta\nn\t1\ta\\qb\n"
         with pytest.raises(ImportFormatError) as err:
             read_graph_file(io.StringIO(text))
         assert err.value.line_numbers == (3,)

@@ -1,8 +1,21 @@
+import ast
+import pathlib
 import random
 import sqlite3
 import threading
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import (
+    RuleBasedStateMachine,
+    invariant,
+    precondition,
+    rule,
+    run_state_machine_as_test,
+)
+
+import annokit
 
 from annokit.documents import Document
 from annokit.errors import (
@@ -407,3 +420,178 @@ def test_type_ids_of_a_rolled_back_checkpoint_are_forgotten(tmp_path):
         back = reopened.unmarshal_document(doc.id)
     assert [(a.type_name, a.value) for a in back.annotations()] == [
         ("token", "alpha"), ("concept", "beta")]
+
+
+def test_only_the_store_module_runs_sql():
+    """Every SQL statement goes through CdmStore: no other module under
+    annokit imports sqlite3 or calls execute/executemany."""
+    offences = []
+    for path in sorted(pathlib.Path(annokit.__file__).parent.glob("*.py")):
+        if path.name == "store.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                modules = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                modules = [node.module or ""]
+            else:
+                modules = []
+            if any(m.split(".")[0] == "sqlite3" for m in modules):
+                offences.append(f"{path.name}:{node.lineno} imports sqlite3")
+            if (isinstance(node, ast.Call)
+                    and isinstance(node.func, ast.Attribute)
+                    and node.func.attr in ("execute", "executemany")):
+                offences.append(f"{path.name}:{node.lineno} calls "
+                                f".{node.func.attr}(")
+    assert offences == []
+
+
+MACHINE_TEXT = "alpha beta"
+# Few distinct spans, so that equal spans are common.
+MACHINE_SPANS = st.builds(lambda s, n: Interval(s, s + n),
+                          st.integers(0, 6), st.integers(0, 2))
+# Two-letter names over a small alphabet: new types keep turning up.
+MACHINE_TYPES = st.text("abc", min_size=1, max_size=2)
+MACHINE_VALUES = st.text(st.characters(codec="utf-8"), max_size=3)
+
+
+def fields(ann):
+    return (ann.span, ann.type_name, ann.value, ann.attributes,
+            ann.provenance)
+
+
+def rows(annotations):
+    return [(ann.id,) + fields(ann) for ann in annotations]
+
+
+def stored_rows(doc):
+    """The document's rows in the store's order, (start, end, id). In
+    memory a span edit counts as a new insertion among equal spans, so
+    ties are put in id order here before comparing."""
+    return sorted(rows(doc.annotations()),
+                  key=lambda row: (row[1].start, row[1].end, row[0]))
+
+
+class DocumentStoreMachine(RuleBasedStateMachine):
+    """Drives a Document and its store file through edits, writes,
+    aborted writes and reopens, against a plain list of annotations in
+    insertion order."""
+
+    def __init__(self, path):
+        super().__init__()
+        self.path = path
+        self.store = CdmStore(path)
+        self.store.init_schema()
+        self.doc = Document("machine", MACHINE_TEXT)
+        self.oracle = []  # [annotation, span, type, value, attrs, prov]
+        self.committed = None  # stored_rows after the last good write
+
+    def teardown(self):
+        self.store.close()
+        self.path.unlink()
+
+    def pick(self, k):
+        return self.oracle[k % len(self.oracle)]
+
+    @rule(span=MACHINE_SPANS, type_name=MACHINE_TYPES,
+          value=MACHINE_VALUES,
+          attributes=st.dictionaries(st.sampled_from("xy"), MACHINE_VALUES,
+                                     max_size=2),
+          provenance=st.sampled_from(("", "tool")))
+    def add(self, span, type_name, value, attributes, provenance):
+        ann = self.doc.annotate(span, type_name, value, attributes,
+                                provenance)
+        self.oracle.append([ann, span, type_name, value, dict(attributes),
+                            provenance])
+
+    @precondition(lambda self: self.oracle)
+    @rule(k=st.integers(0, 99), span=MACHINE_SPANS)
+    def update_span(self, k, span):
+        entry = self.pick(k)
+        self.doc.update_annotation(entry[0].id, span=span)
+        if span != entry[1]:
+            # a moved annotation ranks after every equal span already there
+            self.oracle = [e for e in self.oracle if e is not entry]
+            self.oracle.append(entry)
+            entry[1] = span
+
+    @precondition(lambda self: self.oracle)
+    @rule(k=st.integers(0, 99), type_name=MACHINE_TYPES)
+    def update_type(self, k, type_name):
+        entry = self.pick(k)
+        self.doc.update_annotation(entry[0].id, type_name=type_name)
+        entry[2] = type_name
+
+    @precondition(lambda self: self.oracle)
+    @rule(k=st.integers(0, 99), value=MACHINE_VALUES)
+    def update_value(self, k, value):
+        entry = self.pick(k)
+        self.doc.update_annotation(entry[0].id, value=value)
+        entry[3] = value
+
+    def check_store(self):
+        """A fresh store reads back exactly the last good write."""
+        with CdmStore(self.path) as fresh:
+            twin = fresh.unmarshal_document(self.doc.id)
+        assert twin.dirty == set()
+        assert rows(twin.annotations()) == self.committed
+
+    def written(self):
+        assert self.doc.dirty == set()
+        self.committed = stored_rows(self.doc)
+        self.check_store()
+
+    @rule()
+    def marshal(self):
+        self.store.marshal_document(self.doc)
+        self.written()
+
+    @precondition(lambda self: self.doc.id is not None)
+    @rule()
+    def checkpoint(self):
+        self.store.checkpoint(self.doc)
+        self.written()
+
+    @precondition(lambda self: self.doc.id is not None and self.doc.dirty)
+    @rule()
+    def aborted_checkpoint(self):
+        before = rows(self.doc.annotations())
+        dirty = set(self.doc.dirty)
+        with self.store.connection:
+            for event in ("INSERT", "UPDATE"):
+                self.store.connection.execute(
+                    f"CREATE TRIGGER refuse_{event} BEFORE {event}"
+                    " ON annotations BEGIN SELECT RAISE(ABORT, 'refused');"
+                    " END")
+        with pytest.raises(StoreError, match="refused"):
+            self.store.checkpoint(self.doc)
+        with self.store.connection:
+            for event in ("INSERT", "UPDATE"):
+                self.store.connection.execute(f"DROP TRIGGER refuse_{event}")
+        assert self.doc.dirty == dirty
+        assert rows(self.doc.annotations()) == before
+        self.check_store()
+
+    @rule()
+    def reopen(self):
+        self.store.close()
+        self.store = CdmStore(self.path)
+        if self.committed is not None:
+            self.check_store()
+
+    @invariant()
+    def annotations_match_the_oracle(self):
+        expected = sorted(self.oracle,
+                          key=lambda entry: (entry[1].start, entry[1].end))
+        live = self.doc.annotations()
+        assert len(live) == len(expected)
+        for ann, entry in zip(live, expected):
+            assert ann is entry[0]
+            assert fields(ann) == tuple(entry[1:])
+
+
+def test_document_and_store_agree_with_a_list_oracle(tmp_path):
+    run_state_machine_as_test(
+        lambda: DocumentStoreMachine(tmp_path / "store.db"),
+        settings=settings(max_examples=50, stateful_step_count=30,
+                          deadline=None))
