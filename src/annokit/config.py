@@ -7,7 +7,7 @@ ANNOKIT_<KEY> environment variables, explicit overrides (CLI flags).
 import os
 from dataclasses import dataclass
 
-from .documents import DEFAULT_ABBREVIATIONS
+from .documents import DEFAULT_ABBREVIATIONS, content_lines
 from .errors import ConfigError, ValidationError
 from .inline import OffsetConvention
 
@@ -65,10 +65,8 @@ class PipelineConfig:
     def abbreviation_set(self) -> frozenset:
         if not self.abbreviations:
             return DEFAULT_ABBREVIATIONS
-        with open(self.abbreviations, encoding="utf-8") as handle:
-            lines = [ln.strip() for ln in handle]
-        return frozenset(ln.casefold() for ln in lines
-                         if ln and not ln.startswith("#"))
+        return frozenset(line.strip().casefold()
+                         for _, line in content_lines(self.abbreviations))
 
 
 def parse_config_text(text: str, source: str = "<config>") -> dict:

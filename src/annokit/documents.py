@@ -3,7 +3,12 @@
 A document's text is immutable; all analysis attaches as annotations that
 point into the text by character span. Every document carries an index
 (interval tree + id map + per-type map) kept consistent by the operations
-here. Also home to the deliberately simple built-in tokenizer and sentence
+here. Canonical annotation order, defined once by ``Annotation.__lt__``,
+is start, then end, then id, with provisional ids after durable ones in
+creation order; the store reads annotations back in the same order. When
+the store replaces provisional ids, it gives them ids above every durable
+id of the document, in canonical order, so no annotation changes place.
+Also home to the deliberately simple built-in tokenizer and sentence
 splitter, the external tab-separated annotation exchange format, and the
 five-way sentence segmentation used for concept-pair context.
 """
@@ -51,9 +56,19 @@ class Annotation:
     id: int | None = None
     doc_id: int | None = None
 
+    def __lt__(self, other):
+        """Canonical order: start, then end, then id. A provisional id
+        ranks after every durable one, and provisional ids (-1, -2, ...)
+        rank among themselves in creation order."""
+        return ((self.span.start, self.span.end, self.id < 0, abs(self.id))
+                < (other.span.start, other.span.end, other.id < 0,
+                   abs(other.id)))
+
 
 class AnnotationIndex:
-    """Interval tree plus id and type maps, mutated only together."""
+    """Interval tree of annotations plus id and type maps, mutated only
+    together. The tree orders annotations by ``Annotation.__lt__``, so an
+    annotation's span and id may change only through this class."""
 
     def __init__(self):
         self.tree = IntervalTree()
@@ -66,14 +81,14 @@ class AnnotationIndex:
     def add(self, ann: Annotation) -> None:
         if ann.id in self.by_id:
             raise DuplicateEntryError(f"annotation id {ann.id} already used")
-        self.tree.insert(ann.span, ann.id)
+        self.tree.insert(ann.span, ann)
         self.by_id[ann.id] = ann
         self.by_type.setdefault(ann.type_name, set()).add(ann.id)
 
     def reindex_span(self, ann: Annotation, new_span: Interval) -> None:
-        self.tree.remove(ann.span, ann.id)
-        self.tree.insert(new_span, ann.id)
+        self.tree.remove(ann.span, ann)
         ann.span = new_span
+        self.tree.insert(new_span, ann)
 
     def reindex_type(self, ann: Annotation, new_type: str) -> None:
         ids = self.by_type[ann.type_name]
@@ -85,9 +100,10 @@ class AnnotationIndex:
 
     def replace_id(self, old_id: int, new_id: int) -> Annotation:
         """Rebind an annotation to a new id, e.g. when the store assigns a
-        durable id for a provisional one. Keeps canonical tie order."""
+        durable id for a provisional one. The tree entry stays where it
+        is, so the caller must pick a ``new_id`` that keeps the annotation
+        in the same place among equal spans."""
         ann = self.by_id.pop(old_id)
-        self.tree.replace_payload(ann.span, old_id, new_id)
         ids = self.by_type[ann.type_name]
         ids.discard(old_id)
         ids.add(new_id)
@@ -156,24 +172,16 @@ class Document:
             ) from None
 
     def annotations(self, type_filter: str | None = None) -> list[Annotation]:
-        """All annotations in canonical order (start, end, insertion)."""
-        out = []
-        for _, ann_id in self.index.tree:
-            ann = self.index.by_id[ann_id]
-            if type_filter is None or ann.type_name == type_filter:
-                out.append(ann)
-        return out
+        """All annotations in canonical order (start, end, id)."""
+        return [ann for _, ann in self.index.tree
+                if type_filter is None or ann.type_name == type_filter]
 
     def annotations_satisfying(self, rel: AllenRelation, b: Interval,
                                type_filter: str | None = None
                                ) -> list[Annotation]:
         """Annotations whose span bears ``rel`` to b, canonical order."""
-        out = []
-        for _, ann_id in self.index.tree.query(rel, b):
-            ann = self.index.by_id[ann_id]
-            if type_filter is None or ann.type_name == type_filter:
-                out.append(ann)
-        return out
+        return [ann for _, ann in self.index.tree.query(rel, b)
+                if type_filter is None or ann.type_name == type_filter]
 
     def next_annotations(self, anchor: Annotation, k: int,
                          type_filter: str | None = None) -> list[Annotation]:
@@ -186,14 +194,11 @@ class Document:
             raise ValidationError(f"k must be >= 1, got {k}")
         if self.index.by_id.get(anchor.id) is not anchor:
             raise NotFoundError("anchor does not belong to this document")
-        tree = self.index.tree
-        hits = tree.query(AllenRelation.MET_BY, anchor.span)
-        hits += tree.query(AllenRelation.AFTER, anchor.span)
         out = []
-        for _, ann_id in hits:
-            if ann_id == anchor.id:
+        rest = Interval(anchor.span.end, len(self._content))
+        for _, ann in self.index.tree.within(rest):
+            if ann is anchor:
                 continue
-            ann = self.index.by_id[ann_id]
             if type_filter is not None and ann.type_name != type_filter:
                 continue
             out.append(ann)
@@ -204,24 +209,9 @@ class Document:
     def annotations_within(self, b: Interval,
                            type_filter: str | None = None
                            ) -> list[Annotation]:
-        """Annotations fully inside b (boundaries included), canonical.
-
-        Containment decomposes into four relations; null spans can match
-        more than one of them, hence the dedup.
-        """
-        seen = set()
-        hits = []
-        for rel in (AllenRelation.EQ, AllenRelation.STARTS,
-                    AllenRelation.FINISHES, AllenRelation.DURING):
-            for _, ann_id in self.index.tree.query(rel, b):
-                if ann_id in seen:
-                    continue
-                seen.add(ann_id)
-                ann = self.index.by_id[ann_id]
-                if type_filter is None or ann.type_name == type_filter:
-                    hits.append(ann)
-        hits.sort(key=lambda a: (a.span.start, a.span.end))
-        return hits
+        """Annotations fully inside b (boundaries included), canonical."""
+        return [ann for _, ann in self.index.tree.within(b)
+                if type_filter is None or ann.type_name == type_filter]
 
     def update_annotation(self, ann_id: int, span: Interval | None = None,
                           type_name: str | None = None,

@@ -46,7 +46,6 @@ class LabeledGraph:
     name: str = ""
     graph_type: str = ""
     id: int | None = None
-    directed: bool = True
     skipped_dependencies: int = 0
 
     def __post_init__(self):
@@ -58,9 +57,6 @@ class LabeledGraph:
                 )
             if src == dst:
                 raise ValidationError(f"self-loop on node {src}")
-
-    def node_count(self) -> int:
-        return len(self.nodes)
 
 
 @dataclass(frozen=True)
@@ -247,8 +243,11 @@ def canonical_code(graph: LabeledGraph) -> str:
     """Label-ordering-invariant encoding: the lexicographically smallest
     rendering over all node permutations. Exact but factorial; guarded
     to small graphs. Separators inside labels are escaped, so that they
-    cannot make two different graphs render alike."""
+    cannot make two different graphs render alike. The graph without
+    nodes encodes as the empty string; every other code contains ``#``."""
     n = len(graph.nodes)
+    if n == 0:
+        return ""
     if n > MAX_CANONICAL_NODES:
         raise ValidationError(
             f"canonical code limited to {MAX_CANONICAL_NODES} nodes, "
@@ -266,7 +265,7 @@ def canonical_code(graph: LabeledGraph) -> str:
         code = labels + "#" + ";".join(f"{s}>{d}:{l}" for s, d, l in edges)
         if best is None or code < best:
             best = code
-    return best if best is not None else "#"
+    return best
 
 
 def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,

@@ -34,7 +34,6 @@ def _normalize_groups(source: str) -> str:
 @dataclass
 class SectionSpec:
     name: str
-    pattern_sources: list[str]
     patterns: list[re.Pattern]
     name_from_group: str | None = None
     extractors: list[tuple[str, str]] = field(default_factory=list)
@@ -44,7 +43,6 @@ class SectionSpec:
 @dataclass
 class TemplateSpec:
     name: str
-    pattern_source: str
     pattern: re.Pattern
     extractors: list[tuple[str, str]] = field(default_factory=list)
 
@@ -133,8 +131,8 @@ def _parse_section(elem, path: str) -> SectionSpec:
                     f"{name_from_group!r} is not a group of {sources[n]!r}"
                 )
     _check_unique_names(children, "section", path)
-    return SectionSpec(name=name, pattern_sources=sources,
-                       patterns=patterns, name_from_group=name_from_group,
+    return SectionSpec(name=name, patterns=patterns,
+                       name_from_group=name_from_group,
                        extractors=extractors, children=children)
 
 
@@ -165,8 +163,7 @@ def _parse_template(elem, path: str) -> TemplateSpec:
                 f"{path}: extractor {attr!r} references group {group!r} "
                 f"which the pattern does not define"
             )
-    return TemplateSpec(name=name, pattern_source=sources[0],
-                        pattern=pattern, extractors=extractors)
+    return TemplateSpec(name=name, pattern=pattern, extractors=extractors)
 
 
 def parse_guideline(xml_text: str) -> Guideline:

@@ -312,7 +312,10 @@ class CdmStore:
         """
         written = 0
         remaps = []
-        pending = [ann for ann in doc.annotations() if ann.id in doc.dirty]
+        # Canonical order: the new rows get ascending ids above every
+        # durable id of the document, so the provisional ids they replace
+        # keep their places in the index (see AnnotationIndex.replace_id).
+        pending = sorted(doc.index.by_id[ann_id] for ann_id in doc.dirty)
         type_ids = dict(self._conn.execute(
             "SELECT name, id FROM annotation_types"))
         for name in dict.fromkeys(ann.type_name for ann in pending):

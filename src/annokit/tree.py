@@ -1,15 +1,18 @@
 """Interval index over one start-sorted list, with relation queries.
 
-Entries are ``(start, end, seq, interval, payload)`` tuples kept in
-canonical order: start ascending, end breaking ties, then ``seq``, a
-per-index insertion counter. Equal intervals therefore keep their
-payloads in insertion order, and iteration reproduces the canonical
-annotation order exactly. A start-sorted array is all that interval
-queries need (NCList, Alekseyenko & Lee, Bioinformatics 2007).
+Entries are ``(start, end, payload, interval)`` tuples kept in canonical
+order: start ascending, end breaking ties, then the payloads themselves,
+so the payloads stored at one interval must be orderable with ``<`` and
+must not change their order while stored. A document indexes its
+``Annotation`` objects, whose order breaks ties by id, so iteration
+reproduces the canonical annotation order exactly. A start-sorted array
+is all that interval queries need (NCList, Alekseyenko & Lee,
+Bioinformatics 2007).
 
-Cost model. ``insert`` and ``remove`` bisect the key and shift the list
-tail in C; input in canonical order, as the store reads a document back,
-only appends. ``query`` bisects the start range that the relation allows
+Cost model. ``insert`` and ``remove`` bisect the key, comparing payloads
+only within the run of one interval, and shift the list tail in C; input
+in canonical order, as the store reads a document back, only appends.
+``query`` bisects the start range that the relation allows
 and tests each entry in it. No entry is longer than ``max_len``, the
 longest span ever inserted, so the range's lower end is raised to
 ``e_lo - max_len`` as well. EQ, STARTS, STARTED_BY, FINISHES, DURING,
@@ -20,11 +23,12 @@ bound the start from below only through ``max_len``: once one long span
 is indexed (a section, the whole document) they scan every entry
 starting within ``max_len`` before the probe, about 1 ms per query on
 40k entries with one document-length span (Python 3.11, 2-vCPU VM).
-Nothing inside annokit issues those four relations.
+Nothing inside annokit issues those four relations. ``within`` scans
+exactly the entries that start inside its interval.
 """
 
 import math
-from bisect import bisect_left, bisect_right
+from bisect import bisect_left
 
 from .errors import DuplicateEntryError, NotFoundError, ValidationError
 from .intervals import AllenRelation, Interval, holds
@@ -56,13 +60,12 @@ _BOUNDS = {
 class IntervalTree:
     """Ordered index from intervals to payloads.
 
-    Payloads are typically annotation ids. The same interval may carry many
-    payloads; the same (interval, payload) pair may be stored only once.
+    The same interval may carry many payloads, kept in payload order; the
+    same (interval, payload) pair may be stored only once.
     """
 
     def __init__(self):
         self._entries = []
-        self._seq = 0
         self._nodes = 0
         # Longest span ever inserted; never shrinks, so it stays a bound.
         self._max_len = 0
@@ -81,41 +84,34 @@ class IntervalTree:
         """Index range of the entries stored at exactly this interval."""
         s, e = interval.start, interval.end
         lo = bisect_left(self._entries, (s, e))
-        return lo, bisect_right(self._entries, (s, e, INF), lo)
+        return lo, bisect_left(self._entries, (s, e + 1), lo)
 
     def __contains__(self, interval: Interval) -> bool:
         lo, hi = self._run(interval)
         return lo < hi
 
     def find(self, interval: Interval) -> list:
-        """Payloads stored at exactly this interval, in insertion order."""
+        """Payloads stored at exactly this interval, in payload order."""
         lo, hi = self._run(interval)
-        return [entry[4] for entry in self._entries[lo:hi]]
+        return [entry[2] for entry in self._entries[lo:hi]]
 
     def __iter__(self):
         """Yield (interval, payload) pairs in canonical order."""
         for entry in self._entries:
-            yield entry[3], entry[4]
-
-    def _position(self, lo, hi, payload):
-        """Index of ``payload`` among entries lo..hi-1, or -1."""
-        for k in range(lo, hi):
-            if self._entries[k][4] == payload:
-                return k
-        return -1
+            yield entry[3], entry[2]
 
     def insert(self, interval: Interval, payload) -> None:
-        """Add one (interval, payload) entry after any others at the same
-        interval. Re-adding a payload already stored at that interval
-        raises DuplicateEntryError."""
+        """Add one (interval, payload) entry in payload order among any
+        others at the same interval. Re-adding a payload already stored at
+        that interval raises DuplicateEntryError."""
         lo, hi = self._run(interval)
-        if self._position(lo, hi, payload) >= 0:
+        s, e = interval.start, interval.end
+        k = bisect_left(self._entries, (s, e, payload), lo, hi)
+        if k < hi and self._entries[k][2] == payload:
             raise DuplicateEntryError(
                 f"entry ({interval}, {payload!r}) already present"
             )
-        s, e = interval.start, interval.end
-        self._entries.insert(hi, (s, e, self._seq, interval, payload))
-        self._seq += 1
+        self._entries.insert(k, (s, e, payload, interval))
         if lo == hi:
             self._nodes += 1
         if e - s > self._max_len:
@@ -127,30 +123,15 @@ class IntervalTree:
         lo, hi = self._run(interval)
         if lo == hi:
             raise NotFoundError(f"no entries at {interval}")
-        k = self._position(lo, hi, payload)
-        if k < 0:
+        k = bisect_left(self._entries,
+                        (interval.start, interval.end, payload), lo, hi)
+        if k == hi or self._entries[k][2] != payload:
             raise NotFoundError(
                 f"payload {payload!r} not present at {interval}"
             )
         del self._entries[k]
         if hi - lo == 1:
             self._nodes -= 1
-
-    def replace_payload(self, interval: Interval, old, new) -> None:
-        """Swap one payload for another, keeping its ``seq`` and so its
-        place in canonical order."""
-        lo, hi = self._run(interval)
-        if lo == hi:
-            raise NotFoundError(f"no entries at {interval}")
-        if self._position(lo, hi, new) >= 0:
-            raise DuplicateEntryError(
-                f"entry ({interval}, {new!r}) already present"
-            )
-        k = self._position(lo, hi, old)
-        if k < 0:
-            raise NotFoundError(f"payload {old!r} not present at {interval}")
-        s, e, seq, iv, _ = self._entries[k]
-        self._entries[k] = (s, e, seq, iv, new)
 
     # queries
 
@@ -164,11 +145,21 @@ class IntervalTree:
             return []
         entries = self._entries
         lo = bisect_left(entries, (max(s_lo, e_lo - self._max_len),))
-        hi = bisect_right(entries, (s_hi, INF), lo)
+        hi = bisect_left(entries, (s_hi + 1,), lo)
         self.last_visited = hi - lo
         return [(iv, payload)
-                for _, end, _, iv, payload in entries[lo:hi]
+                for _, end, payload, iv in entries[lo:hi]
                 if e_lo <= end <= e_hi and holds(relation, iv, interval)]
+
+    def within(self, interval: Interval) -> list:
+        """All (interval, payload) entries lying inside ``interval``,
+        boundaries included, in canonical order."""
+        entries = self._entries
+        lo = bisect_left(entries, (interval.start,))
+        hi = bisect_left(entries, (interval.end + 1,), lo)
+        return [(iv, payload)
+                for _, end, payload, iv in entries[lo:hi]
+                if end <= interval.end]
 
     # integrity
 
@@ -177,9 +168,9 @@ class IntervalTree:
         first violation, else return summary statistics."""
         nodes = 0
         previous = None
-        for s, e, seq, iv, _ in self._entries:
-            key = (s, e, seq)
-            if previous is not None and previous >= key:
+        for s, e, payload, iv in self._entries:
+            key = (s, e, payload)
+            if previous is not None and not previous < key:
                 raise ValidationError(f"order violation: {previous} before {key}")
             if (iv.start, iv.end) != (s, e):
                 raise ValidationError(f"key {(s, e)} stored for {iv}")

@@ -9,6 +9,7 @@ import os
 import pytest
 
 from annokit.cli import main
+from annokit.config import load_config
 from annokit.graphs import list_graphs, load_graph
 from annokit.store import CdmStore
 
@@ -93,6 +94,15 @@ class TestConfig:
         add_cfg(ws, min_support="0")
         assert run(ws, "init") == 1
         assert "positive" in capsys.readouterr().err
+
+    def test_abbreviations_file(self, ws):
+        path = ws / "abbreviations.txt"
+        path.write_text("# clinical shorthand\n\nPt.\n   q.d.\n"
+                        "  # indented comment\n \t\nB.I.D.\n",
+                        encoding="utf-8")
+        add_cfg(ws, abbreviations=str(path))
+        config = load_config(str(ws / "annokit.cfg"), env={})
+        assert config.abbreviation_set() == {"pt.", "q.d.", "b.i.d."}
 
 
 class TestImportAndRun:

@@ -294,7 +294,8 @@ class TestCanonicalCode:
         (LabeledGraph(nodes=["a,b"]), LabeledGraph(nodes=["a", "b"])),
         (LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x;0>1:y")]),
          LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x"), (0, 1, "y")])),
-    ], ids=["node-comma", "edge-separators"])
+        (LabeledGraph(nodes=[]), LabeledGraph(nodes=[""])),
+    ], ids=["node-comma", "edge-separators", "no-nodes-vs-empty-label"])
     def test_separators_in_labels_do_not_collide(self, one, two):
         assert canonical_code(one) != canonical_code(two)
 

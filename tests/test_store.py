@@ -134,6 +134,19 @@ def test_round_trip_preserves_every_field():
     twin.index.tree.audit()
 
 
+def test_span_edit_ranks_equal_spans_by_id_live_and_reloaded():
+    store = fresh_store()
+    doc = Document("ties", "ab")
+    a = doc.annotate(Interval(0, 0), "t")
+    store.marshal_document(doc)
+    b = doc.annotate(Interval(1, 1), "t")
+    doc.update_annotation(a.id, span=Interval(1, 1))
+    store.checkpoint(doc)
+    twin = store.unmarshal_document(doc.id)
+    assert [ann.id for ann in doc.annotations()] == [a.id, b.id]
+    assert [ann.id for ann in twin.annotations()] == [a.id, b.id]
+
+
 def test_round_trip_queries_agree_for_all_relations():
     store = fresh_store()
     doc = Document("q", "y" * 120)
@@ -464,18 +477,11 @@ def rows(annotations):
     return [(ann.id,) + fields(ann) for ann in annotations]
 
 
-def stored_rows(doc):
-    """The document's rows in the store's order, (start, end, id). In
-    memory a span edit counts as a new insertion among equal spans, so
-    ties are put in id order here before comparing."""
-    return sorted(rows(doc.annotations()),
-                  key=lambda row: (row[1].start, row[1].end, row[0]))
-
-
 class DocumentStoreMachine(RuleBasedStateMachine):
     """Drives a Document and its store file through edits, writes,
     aborted writes and reopens, against a plain list of annotations in
-    insertion order."""
+    creation order. Equal spans rank durable ids in id order, then
+    provisional ones in creation order."""
 
     def __init__(self, path):
         super().__init__()
@@ -484,7 +490,7 @@ class DocumentStoreMachine(RuleBasedStateMachine):
         self.store.init_schema()
         self.doc = Document("machine", MACHINE_TEXT)
         self.oracle = []  # [annotation, span, type, value, attrs, prov]
-        self.committed = None  # stored_rows after the last good write
+        self.committed = None  # rows after the last good write
 
     def teardown(self):
         self.store.close()
@@ -509,11 +515,7 @@ class DocumentStoreMachine(RuleBasedStateMachine):
     def update_span(self, k, span):
         entry = self.pick(k)
         self.doc.update_annotation(entry[0].id, span=span)
-        if span != entry[1]:
-            # a moved annotation ranks after every equal span already there
-            self.oracle = [e for e in self.oracle if e is not entry]
-            self.oracle.append(entry)
-            entry[1] = span
+        entry[1] = span
 
     @precondition(lambda self: self.oracle)
     @rule(k=st.integers(0, 99), type_name=MACHINE_TYPES)
@@ -538,7 +540,7 @@ class DocumentStoreMachine(RuleBasedStateMachine):
 
     def written(self):
         assert self.doc.dirty == set()
-        self.committed = stored_rows(self.doc)
+        self.committed = rows(self.doc.annotations())
         self.check_store()
 
     @rule()
@@ -581,8 +583,15 @@ class DocumentStoreMachine(RuleBasedStateMachine):
 
     @invariant()
     def annotations_match_the_oracle(self):
-        expected = sorted(self.oracle,
-                          key=lambda entry: (entry[1].start, entry[1].end))
+        created = {id(entry[0]): n for n, entry in enumerate(self.oracle)}
+
+        def rank(entry):
+            ann, span = entry[0], entry[1]
+            tie = ann.id if ann.id > 0 else created[id(ann)]
+            return (span.start, span.end, ann.id < 0, tie)
+
+        expected = sorted(self.oracle, key=rank)
+        self.doc.index.tree.audit()
         live = self.doc.annotations()
         assert len(live) == len(expected)
         for ann, entry in zip(live, expected):

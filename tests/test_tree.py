@@ -15,10 +15,14 @@ from annokit.intervals import AllenRelation, Interval, holds
 from annokit.tree import IntervalTree
 
 
+def canonical(entries):
+    """(interval, payload) entries sorted by (start, end, payload)."""
+    return sorted(entries, key=lambda e: (e[0].start, e[0].end, e[1]))
+
+
 def oracle_query(entries, relation, b):
-    """Linear reference: stable sort by span, then filter by predicate."""
-    ranked = sorted(entries, key=lambda e: (e[0].start, e[0].end))
-    return [e for e in ranked if holds(relation, e[0], b)]
+    """Linear reference: sort canonically, then filter by predicate."""
+    return [e for e in canonical(entries) if holds(relation, e[0], b)]
 
 
 def random_entries(rng, count, span=60):
@@ -60,12 +64,12 @@ def test_insert_and_find():
 
 def test_equal_intervals_share_a_node():
     tree = IntervalTree()
-    tree.insert(Interval(3, 8), 1)
     tree.insert(Interval(3, 8), 2)
     tree.insert(Interval(3, 8), 3)
+    tree.insert(Interval(3, 8), 1)
     assert len(tree) == 3
     assert tree.node_count == 1
-    # payloads come back in insertion order
+    # payloads come back in payload order, not insertion order
     assert tree.find(Interval(3, 8)) == [1, 2, 3]
 
 
@@ -102,12 +106,12 @@ def test_remove_missing_raises():
         tree.remove(Interval(1, 4), "zzz")
 
 
-def test_iteration_is_canonical_with_stable_ties():
+def test_iteration_is_canonical_with_payload_ties():
     tree = IntervalTree()
     tree.insert(Interval(5, 9), "late-start")
-    tree.insert(Interval(1, 7), "first")
-    tree.insert(Interval(1, 3), "short")
     tree.insert(Interval(1, 7), "second")
+    tree.insert(Interval(1, 3), "short")
+    tree.insert(Interval(1, 7), "first")
     assert list(tree) == [
         (Interval(1, 3), "short"),
         (Interval(1, 7), "first"),
@@ -136,7 +140,7 @@ def test_audit_after_random_churn():
             tree.audit()
     stats = tree.audit()
     assert stats["entries"] == len(alive)
-    assert list(tree) == sorted(alive, key=lambda e: (e[0].start, e[0].end))
+    assert list(tree) == canonical(alive)
 
 
 def test_rebuild_equality_after_churn():
@@ -181,8 +185,6 @@ def test_queries_match_oracle_after_removals():
     dropped, kept = entries[:120], entries[120:]
     for iv, payload in dropped:
         tree.remove(iv, payload)
-    # surviving payloads keep their original insertion order inside a node
-    kept.sort(key=lambda e: e[1])
     for _ in range(30):
         s = rng.randrange(0, 50)
         e = rng.randrange(s, 51)
@@ -260,19 +262,32 @@ SPANS = st.builds(lambda s, n: Interval(s, s + n),
 
 class TreeMachine(RuleBasedStateMachine):
     """Drives an IntervalTree and a plain list of (interval, payload)
-    entries in insertion order through the same operations."""
+    entries through the same operations. Payloads are fresh integers,
+    counting up from 0 or down from -1."""
 
     def __init__(self):
         super().__init__()
         self.tree = IntervalTree()
         self.entries = []
         self.serial = 0
+        self.low = -1
 
     @rule(iv=SPANS)
     def insert(self, iv):
         self.tree.insert(iv, self.serial)
         self.entries.append((iv, self.serial))
         self.serial += 1
+
+    @precondition(lambda self: self.entries)
+    @rule(data=st.data())
+    def insert_below(self, data):
+        """A payload below every other at an occupied interval goes first
+        in its run, whatever was inserted there before."""
+        iv, _ = data.draw(st.sampled_from(self.entries))
+        self.tree.insert(iv, self.low)
+        self.entries.append((iv, self.low))
+        assert self.tree.find(iv)[0] == self.low
+        self.low -= 1
 
     @precondition(lambda self: self.entries)
     @rule(data=st.data())
@@ -291,20 +306,11 @@ class TreeMachine(RuleBasedStateMachine):
     @rule(iv=SPANS)
     def remove_missing(self, iv):
         with pytest.raises(NotFoundError):
-            self.tree.remove(iv, -1)
-
-    @precondition(lambda self: self.entries)
-    @rule(data=st.data())
-    def replace_payload(self, data):
-        k = data.draw(st.integers(0, len(self.entries) - 1))
-        iv, old = self.entries[k]
-        self.tree.replace_payload(iv, old, self.serial)
-        self.entries[k] = (iv, self.serial)
-        self.serial += 1
+            self.tree.remove(iv, self.serial)
 
     @rule(iv=SPANS)
     def find(self, iv):
-        want = [p for i, p in self.entries if i == iv]
+        want = [p for i, p in canonical(self.entries) if i == iv]
         assert self.tree.find(iv) == want
         assert (iv in self.tree) == bool(want)
 
@@ -313,9 +319,15 @@ class TreeMachine(RuleBasedStateMachine):
         for rel in AllenRelation:
             assert self.tree.query(rel, b) == oracle_query(self.entries, rel, b)
 
+    @rule(b=SPANS)
+    def within(self, b):
+        assert self.tree.within(b) == [
+            (iv, p) for iv, p in canonical(self.entries)
+            if b.start <= iv.start and iv.end <= b.end]
+
     @invariant()
     def matches_oracle(self):
-        canon = sorted(self.entries, key=lambda e: (e[0].start, e[0].end))
+        canon = canonical(self.entries)
         nodes = len({iv for iv, _ in canon})
         assert len(self.tree) == len(canon)
         assert self.tree.node_count == nodes
