@@ -49,8 +49,10 @@ from .graphs import (
     find_subgraph_occurrences,
     list_graphs,
     load_graph,
+    load_graphs,
     mine_frequent_subgraphs,
     persist_graph,
+    persist_graphs,
     persist_mining_results,
     read_graph_file,
     write_graph_file,
@@ -119,6 +121,7 @@ __all__ = [
     "list_graphs",
     "load_config",
     "load_graph",
+    "load_graphs",
     "load_lexicon",
     "map_span",
     "match_templates",
@@ -126,6 +129,7 @@ __all__ = [
     "parse_config_text",
     "parse_guideline",
     "persist_graph",
+    "persist_graphs",
     "persist_mining_results",
     "read_graph_file",
     "relate",

@@ -222,8 +222,7 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
                 " annotations")
         if not graph_tools.list_graphs(store, name_prefix=doc.name + ":"):
             built = graph_tools.build_sentence_graphs(doc)
-            for graph in built:
-                graph_tools.persist_graph(store, graph)
+            graph_tools.persist_graphs(store, built)
             return len(built)
     return 0
 
@@ -360,9 +359,7 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
         if store is None:
             graphs = graph_tools.read_graph_file(args.input)
         else:
-            listed = graph_tools.list_graphs(store, graph_type="dependency")
-            graphs = [graph_tools.load_graph(store, gid)
-                      for gid, _, _ in listed]
+            graphs = graph_tools.load_graphs(store, "dependency")
         results = graph_tools.mine_frequent_subgraphs(
             graphs, min_support, max_nodes=max_nodes)
         print(f"{len(graphs)} graphs mined, {len(results)} patterns"

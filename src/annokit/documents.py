@@ -195,8 +195,7 @@ class Document:
         if self.index.by_id.get(anchor.id) is not anchor:
             raise NotFoundError("anchor does not belong to this document")
         out = []
-        rest = Interval(anchor.span.end, len(self._content))
-        for _, ann in self.index.tree.within(rest):
+        for _, ann in self.index.tree.starting_from(anchor.span.end):
             if ann is anchor:
                 continue
             if type_filter is not None and ann.type_name != type_filter:

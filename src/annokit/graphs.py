@@ -1,17 +1,28 @@
 """Labeled directed graphs over sentence concepts, plus subgraph matching,
-naive frequent-subgraph mining, node-edge-list persistence, and a flat
+frequent-subgraph mining, node-edge-list persistence, and a flat
 interchange format.
 
 Dependency parses become graphs by merging each token into the concept
-annotation covering it; leftover tokens stand alone. Mining grows
-connected patterns breadth-first and deduplicates them by a canonical
-code (the lexicographically minimal encoding over all node orderings),
-which is exact at the small pattern sizes this targets.
+annotation covering it; leftover tokens stand alone.
+
+Matching maps pattern nodes in order and walks the host's adjacency: a
+pattern node with an edge to an earlier node takes its candidates from
+the host neighbours of that node's image, any other from the host nodes
+of its label. The lookups behind this are built once per host.
+
+Mining grows connected patterns breadth-first and deduplicates them by a
+canonical code (the lexicographically minimal encoding over all node
+orderings), which is exact at the small pattern sizes this targets.
+Support is anti-monotone, so a candidate is tested only against the
+graphs that support the pattern it was grown from, and a host that lacks
+the candidate's node labels or (source label, edge label, target label)
+triples is rejected before any matching (gSpan, Yan & Han, ICDM 2002,
+restricts support counting in the same way).
 """
 
 import itertools
 import logging
-from collections import namedtuple
+from collections import Counter, namedtuple
 from dataclasses import dataclass, field
 
 from .documents import (
@@ -179,11 +190,37 @@ def build_sentence_graphs(doc: Document) -> list[LabeledGraph]:
 
 # matching
 
-def _assignments(host: LabeledGraph, pattern: LabeledGraph):
+class _HostIndex:
+    """Lookups over one host graph: its nodes by label, and its
+    neighbours by (node, edge label) along and against the edges. Every
+    node list is ascending (the edges are read in sorted order), so
+    matches come out in the order of a scan over all host nodes."""
+
+    __slots__ = ("nodes", "by_label", "out", "into")
+
+    def __init__(self, graph: LabeledGraph):
+        self.nodes = graph.nodes
+        self.by_label = {}
+        for node, label in enumerate(graph.nodes):
+            self.by_label.setdefault(label, []).append(node)
+        self.out, self.into = {}, {}
+        for src, dst, label in sorted(set(graph.edges)):
+            self.out.setdefault((src, label), []).append(dst)
+            self.into.setdefault((dst, label), []).append(src)
+
+    def linked(self, src: int, dst: int, label: str) -> bool:
+        return dst in self.out.get((src, label), ())
+
+
+def _assignments(host: _HostIndex, pattern: LabeledGraph):
     """Yield every injective label/direction-preserving embedding as a
-    tuple indexed by pattern node."""
+    tuple indexed by pattern node, in ascending tuple order.
+
+    Pattern node i takes its candidates from the host neighbours of an
+    earlier node's image when it has an edge to an earlier node, and
+    from the host nodes of its label otherwise; its other edges to
+    earlier nodes are then checked against the host's adjacency."""
     n = len(pattern.nodes)
-    host_edges = set(host.edges)
     pending = [[] for _ in range(n)]
     for src, dst, label in pattern.edges:
         pending[max(src, dst)].append((src, dst, label))
@@ -196,17 +233,20 @@ def _assignments(host: LabeledGraph, pattern: LabeledGraph):
             yield tuple(assignment)
             return
         want = pattern.nodes[i]
-        for h, have in enumerate(host.nodes):
-            if used[h] or have != want:
+        if pending[i]:
+            (src, dst, label), *checks = pending[i]
+            candidates = (host.into.get((assignment[dst], label), ())
+                          if src == i
+                          else host.out.get((assignment[src], label), ()))
+        else:
+            checks = ()
+            candidates = host.by_label.get(want, ())
+        for h in candidates:
+            if used[h] or host.nodes[h] != want:
                 continue
-            ok = True
-            for src, dst, label in pending[i]:
-                hs = h if src == i else assignment[src]
-                hd = h if dst == i else assignment[dst]
-                if (hs, hd, label) not in host_edges:
-                    ok = False
-                    break
-            if not ok:
+            if not all(host.linked(h if src == i else assignment[src],
+                                   h if dst == i else assignment[dst], label)
+                       for src, dst, label in checks):
                 continue
             assignment[i] = h
             used[h] = True
@@ -222,19 +262,16 @@ def find_subgraph_occurrences(host: LabeledGraph, pattern: LabeledGraph
     """All embeddings of the pattern in the host. Non-induced: the host
     may have extra edges among the mapped nodes."""
     out = []
-    for assignment in _assignments(host, pattern):
+    for assignment in _assignments(_HostIndex(host), pattern):
         out.append(SubgraphMapping(
             graph_id=host.id, subgraph_id=pattern.id,
             node_map=dict(enumerate(assignment))))
     return out
 
 
-def _occurs_in(host: LabeledGraph, pattern: LabeledGraph) -> bool:
-    if len(pattern.nodes) > len(host.nodes):
-        return False
-    for _ in _assignments(host, pattern):
-        return True
-    return False
+def _triples(graph: LabeledGraph) -> set:
+    """The graph's (source label, edge label, target label) triples."""
+    return {(graph.nodes[s], l, graph.nodes[d]) for s, d, l in graph.edges}
 
 
 # canonical form and mining
@@ -276,7 +313,9 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     Support counts graphs, not embeddings. Growth is breadth-first from
     frequent single nodes, extending by one edge at a time (to a new
     node or between existing nodes), so anti-monotonicity guarantees
-    completeness. Output order: node count, then canonical code.
+    completeness, and lets a candidate's support be counted among the
+    graphs of the pattern it grew from alone. Output order: node count,
+    then canonical code.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
@@ -290,37 +329,50 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
         return []
 
     ids = [g.id if g.id is not None else n for n, g in enumerate(graphs)]
+    hosts = [_HostIndex(g) for g in graphs]
+    host_triples = [_triples(g) for g in graphs]
     labels = sorted({label for g in graphs for label in g.nodes})
-    triples = sorted({(g.nodes[s], l, g.nodes[d])
-                      for g in graphs for s, d, l in g.edges})
+    triples = sorted(set().union(*host_triples))
 
-    def support_of(pattern):
-        members = [gid for g, gid in zip(graphs, ids)
-                   if _occurs_in(g, pattern)]
-        return len(members), members
+    def support_of(pattern, among):
+        """The positions in ``among`` of the graphs containing pattern.
+        A host must hold the pattern's triples, and as many nodes of a
+        label as the pattern has (only a repeated label needs counting:
+        the triples or the match itself find a missing one)."""
+        needed = _triples(pattern)
+        repeated = [(label, count)
+                    for label, count in Counter(pattern.nodes).items()
+                    if count > 1]
+        return [n for n in among
+                if needed <= host_triples[n]
+                and all(len(hosts[n].by_label.get(label, ())) >= count
+                        for label, count in repeated)
+                and next(_assignments(hosts[n], pattern), None) is not None]
+
+    def found(pattern, members):
+        return MinedPattern(pattern, len(members), [ids[n] for n in members])
 
     mined = {}
     frontier = []
     for label in labels:
         pattern = LabeledGraph(nodes=[label], graph_type="pattern")
-        support, members = support_of(pattern)
-        if support >= min_support:
-            code = canonical_code(pattern)
-            mined[code] = MinedPattern(pattern, support, members)
-            frontier.append((pattern, code))
+        members = support_of(pattern, range(len(graphs)))
+        if len(members) >= min_support:
+            mined[canonical_code(pattern)] = found(pattern, members)
+            frontier.append((pattern, members))
 
     while frontier:
         next_frontier = []
-        for pattern, _ in frontier:
+        for pattern, parent_members in frontier:
             for candidate in _extensions(pattern, triples, max_nodes):
                 code = canonical_code(candidate)
                 if code in mined:
                     continue
-                support, members = support_of(candidate)
+                members = support_of(candidate, parent_members)
                 mined[code] = None  # infrequent candidates stay blocked
-                if support >= min_support:
-                    mined[code] = MinedPattern(candidate, support, members)
-                    next_frontier.append((candidate, code))
+                if len(members) >= min_support:
+                    mined[code] = found(candidate, members)
+                    next_frontier.append((candidate, members))
         frontier = next_frontier
 
     results = [entry for entry in mined.values() if entry is not None]
@@ -373,11 +425,20 @@ def _links(graph: LabeledGraph) -> list[tuple]:
     return rows
 
 
+def persist_graphs(store: CdmStore, graphs: list[LabeledGraph]
+                   ) -> list[int]:
+    """Store the graphs with their linkage rows, all or nothing. Sets
+    their ids only after the commit, and returns them."""
+    ids = store.create_graphs(
+        [(g.name, g.graph_type, _links(g)) for g in graphs])
+    for graph, graph_id in zip(graphs, ids):
+        graph.id = graph_id
+    return ids
+
+
 def persist_graph(store: CdmStore, graph: LabeledGraph) -> int:
-    """Store the graph with its linkage rows; sets and returns its id."""
-    graph.id = store.create_graph(graph.name, graph.graph_type,
-                                  _links(graph))
-    return graph.id
+    """Store one graph with its linkage rows; sets and returns its id."""
+    return persist_graphs(store, [graph])[0]
 
 
 def list_graphs(store: CdmStore, name_prefix: str | None = None,
@@ -386,8 +447,10 @@ def list_graphs(store: CdmStore, name_prefix: str | None = None,
     return store.list_graphs(name_prefix, graph_type)
 
 
-def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
-    name, graph_type, rows = store.graph_links(graph_id)
+def _graph_from_links(graph_id: int, name: str, graph_type: str,
+                      rows) -> LabeledGraph:
+    """A graph rebuilt from its linkage rows, nodes renumbered densely in
+    the order of their stored numbers."""
     labels = {}
     for node1, node2, _, label1, label2 in rows:
         labels[node1] = label1
@@ -399,6 +462,17 @@ def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
              for n1, n2, el, _, _ in rows if n2 is not None]
     return LabeledGraph(nodes=nodes, edges=edges, name=name,
                         graph_type=graph_type, id=graph_id)
+
+
+def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
+    name, graph_type, rows = store.graph_links(graph_id)
+    return _graph_from_links(graph_id, name, graph_type, rows)
+
+
+def load_graphs(store: CdmStore, graph_type: str) -> list[LabeledGraph]:
+    """Every stored graph of one type, ordered by id, read in one query."""
+    return [_graph_from_links(graph_id, name, graph_type, rows)
+            for graph_id, name, rows in store.graphs_of_type(graph_type)]
 
 
 def persist_mining_results(store: CdmStore, results: list[MinedPattern],

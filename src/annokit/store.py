@@ -22,6 +22,7 @@ store has the expected columns reads them back from that DDL.
 
 import contextlib
 import functools
+import itertools
 import json
 import sqlite3
 from collections import namedtuple
@@ -633,9 +634,12 @@ class CdmStore:
             [(graph_id, *link) for link in links])
         return graph_id
 
-    def create_graph(self, name: str, graph_type: str, links) -> int:
+    def create_graphs(self, graphs) -> list[int]:
+        """Graphs given as (name, graph_type, links), all in one
+        transaction. Returns their ids in the order given."""
         with self._conn:
-            return self._insert_graph(name, graph_type, links)
+            return [self._insert_graph(name, graph_type, links)
+                    for name, graph_type, links in graphs]
 
     def list_graphs(self, name_prefix: str | None = None,
                     graph_type: str | None = None
@@ -667,6 +671,21 @@ class CdmStore:
             (graph_id,)).fetchall()
         return head[0], head[1], rows
 
+    def graphs_of_type(self, graph_type: str) -> list[tuple[int, str, list]]:
+        """Every graph of one type as (id, name, linkage rows), ordered by
+        id, its rows in insertion order, read in one query. A graph
+        without linkage rows comes with an empty list."""
+        rows = self._conn.execute(
+            "SELECT g.id, g.name, l.node1, l.node2, l.edge_label,"
+            " l.node1_label, l.node2_label"
+            " FROM graphs AS g LEFT JOIN linkage_graph AS l"
+            " ON l.graph_id = g.id"
+            " WHERE g.type = ? ORDER BY g.id, l.rowid", (graph_type,))
+        return [(graph_id, name,
+                 [row[2:] for row in group if row[2] is not None])
+                for (graph_id, name), group in itertools.groupby(
+                    rows, key=lambda row: row[:2])]
+
     def create_mining_results(self, patterns, mappings
                               ) -> list[tuple[int, int]]:
         """In one transaction: per pattern (name, graph_type, links,
@@ -674,11 +693,14 @@ class CdmStore:
         (stored graph id, pattern index, node map) an lg_sigsub row.
         Returns (graph id, sig_subgraph id) per pattern."""
         embeddings = []
+        checked = set()
         for graph_id, n, node_map in mappings:
             if n not in range(len(patterns)):
                 raise ValidationError(f"mapping references pattern {n}, "
                                       f"but only {len(patterns)} were given")
-            self._require_row("graphs", graph_id)
+            if graph_id not in checked:
+                self._require_row("graphs", graph_id)
+                checked.add(graph_id)
             embeddings.append((graph_id, n, canonical_json(node_map)))
         ids = []
         with self._conn:

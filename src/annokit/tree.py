@@ -24,7 +24,8 @@ is indexed (a section, the whole document) they scan every entry
 starting within ``max_len`` before the probe, about 1 ms per query on
 40k entries with one document-length span (Python 3.11, 2-vCPU VM).
 Nothing inside annokit issues those four relations. ``within`` scans
-exactly the entries that start inside its interval.
+exactly the entries that start inside its interval, and
+``starting_from`` only the entries its caller takes.
 """
 
 import math
@@ -160,6 +161,15 @@ class IntervalTree:
         return [(iv, payload)
                 for _, end, payload, iv in entries[lo:hi]
                 if end <= interval.end]
+
+    def starting_from(self, position: int):
+        """Yield the (interval, payload) entries starting at or after
+        ``position``, in canonical order. Lazy: a caller that stops
+        early pays only for the entries it took."""
+        entries = self._entries
+        for k in range(bisect_left(entries, (position,)), len(entries)):
+            _, _, payload, interval = entries[k]
+            yield interval, payload
 
     # integrity
 

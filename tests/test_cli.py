@@ -10,7 +10,13 @@ import pytest
 
 from annokit.cli import main
 from annokit.config import load_config
-from annokit.graphs import list_graphs, load_graph
+from annokit.graphs import (
+    LabeledGraph,
+    list_graphs,
+    load_graph,
+    persist_graphs,
+    write_graph_file,
+)
 from annokit.store import CdmStore
 
 DOC1 = "Cells express CD30. Biopsy showed large cell lymphoma."
@@ -220,6 +226,37 @@ class TestImportAndRun:
         ).fetchone()[0]
         assert count == 2
         store.close()
+
+    def test_graphs_stage_is_all_or_nothing(self, ws, capsys):
+        run(ws, "init")
+        terms = ws / "terms.tsv"
+        terms.write_text(TERMS, encoding="utf-8")
+        add_cfg(ws, lexicon_terms=str(terms))
+        path = write_doc(ws, "d.txt", SENTENCE * 5)
+        deps = ws / "d.deps"
+        deps.write_text(sentence_deps("d.txt", 5), encoding="utf-8")
+        run(ws, "import", path)
+        run(ws, "import", "--annotations", str(deps), "--doc", "d.txt")
+        with CdmStore(str(ws / "store.db")) as store:
+            with store.connection:
+                store.connection.execute(
+                    "CREATE TRIGGER refuse BEFORE INSERT ON graphs"
+                    " WHEN (SELECT COUNT(*) FROM graphs) >= 2"
+                    " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        capsys.readouterr()
+        stages = "tokenize,sentences,concepts,graphs"
+        assert run(ws, "run", path, "--stages", stages) == 2
+        assert "refused" in capsys.readouterr().err
+        with CdmStore(str(ws / "store.db")) as store:
+            assert list_graphs(store) == []
+            with store.connection:
+                store.connection.execute("DROP TRIGGER refuse")
+        assert run(ws, "run", path, "--stages", stages) == 0
+        assert "5 graphs persisted" in capsys.readouterr().out
+        with CdmStore(str(ws / "store.db")) as store:
+            assert [name for _, name, _ in list_graphs(store)] == [
+                f"d.txt:{n * len(SENTENCE)}-{n * len(SENTENCE) + 19}"
+                for n in range(5)]
 
     def test_parallel_jobs(self, ws, capsys):
         run(ws, "init")
@@ -433,6 +470,37 @@ class TestGraphMine:
         assert n_sig > 0
         assert n_map > 0
         store.close()
+
+    def test_store_and_file_print_the_same_patterns(self, ws, capsys):
+        run(ws, "init")
+        stored = [LabeledGraph(nodes=list(labels), edges=edges,
+                               name=f"g{n}", graph_type="dependency")
+                  for n, (labels, edges) in enumerate([
+                      ("abc", [(0, 1, "x"), (0, 2, "y")]),
+                      ("abca", [(0, 1, "x"), (0, 2, "y"), (2, 3, "x")]),
+                      ("ba", [(1, 0, "x")]),
+                      ("abc", [(0, 1, "x")]),
+                      ("c", []),
+                      ("acb", [(0, 2, "x"), (1, 0, "y")])])]
+        with CdmStore(str(ws / "store.db")) as store:
+            persist_graphs(store, stored)
+            persist_graphs(store, [LabeledGraph(
+                nodes=["a", "b"], edges=[(0, 1, "x")], name="other",
+                graph_type="pattern")])
+        graph_file = ws / "graphs.tsv"
+        write_graph_file(stored, str(graph_file))
+        options = ["--min-support", "2", "--max-nodes", "3", "--no-persist"]
+        capsys.readouterr()
+        assert run(ws, "graph-mine", *options) == 0
+        from_store = capsys.readouterr().out.splitlines()
+        assert run(ws, "graph-mine", "--input", str(graph_file),
+                   *options) == 0
+        from_file = capsys.readouterr().out.splitlines()
+        assert from_store[0].startswith("6 graphs mined")
+        patterns = [line for line in from_store if line.startswith("pattern")]
+        assert len(patterns) > 3
+        assert patterns == [line for line in from_file
+                            if line.startswith("pattern")]
 
 
 class TestInstances:

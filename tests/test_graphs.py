@@ -13,7 +13,7 @@ import random
 import tempfile
 
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from annokit.documents import Document
@@ -32,8 +32,10 @@ from annokit.graphs import (
     find_subgraph_occurrences,
     list_graphs,
     load_graph,
+    load_graphs,
     mine_frequent_subgraphs,
     persist_graph,
+    persist_graphs,
     persist_mining_results,
     read_graph_file,
     write_graph_file,
@@ -216,6 +218,25 @@ def random_graph(rng, max_n=6, labels="abc", edge_labels="xy"):
     return LabeledGraph(nodes=nodes, edges=edges)
 
 
+@st.composite
+def labeled_graphs(draw, max_nodes, max_edges, labels, edge_labels):
+    """Small graphs over the given alphabets. Edges may repeat, and
+    nothing keeps the graph connected."""
+    n = draw(st.integers(1, max_nodes))
+    nodes = draw(st.lists(st.sampled_from(labels), min_size=n, max_size=n))
+    pairs = [(s, d) for s in range(n) for d in range(n) if s != d]
+    edges = draw(st.lists(
+        st.builds(lambda pair, label: (*pair, label),
+                  st.sampled_from(pairs), st.sampled_from(edge_labels)),
+        max_size=max_edges)) if pairs else []
+    return LabeledGraph(nodes=nodes, edges=edges)
+
+
+# Labels that hold every separator of a canonical code.
+_SEPARATOR_LABELS = ["a", "\\", ",#", ";>:"]
+_SEPARATOR_EDGE_LABELS = ["x", ":", ";0>1"]
+
+
 class TestMatching:
     def test_worked_single_edge(self):
         doc, sent, deps, concepts = example_doc()
@@ -258,6 +279,24 @@ class TestMatching:
                             edges=[(0, 1, "x"), (1, 0, "y")])
         pattern = LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x")])
         assert len(find_subgraph_occurrences(host, pattern)) == 1
+
+    @settings(max_examples=150, deadline=None)
+    @given(host=labeled_graphs(6, 10, "ab", "xy"),
+           pattern=labeled_graphs(4, 4, "ab", "xy"))
+    @example(host=LabeledGraph(nodes=["a", "b", "c", "b"],
+                               edges=[(0, 2, "x"), (1, 2, "x"),
+                                      (3, 2, "x"), (0, 1, "y")]),
+             pattern=LabeledGraph(nodes=["a", "b", "c"],
+                                  edges=[(0, 2, "x"), (1, 2, "x")]))
+    @example(host=LabeledGraph(nodes=["a", "b", "b", "a"],
+                               edges=[(0, 1, "y"), (3, 2, "y")]),
+             pattern=LabeledGraph(nodes=["a", "b", "b"],
+                                  edges=[(0, 1, "y")]))
+    def test_occurrences_equal_brute_force_in_order(self, host, pattern):
+        """Also disconnected patterns, and patterns whose node i has
+        edges only to later nodes (node 1 in the first example)."""
+        got = [m.node_map for m in find_subgraph_occurrences(host, pattern)]
+        assert got == brute_force_embeddings(host, pattern)
 
 
 class TestCanonicalCode:
@@ -427,6 +466,17 @@ class TestMining:
         results = mine_frequent_subgraphs([g1, g2], 2, max_nodes=1)
         assert results[0].graph_ids == [41, 17]
 
+    @settings(max_examples=100, deadline=None)
+    @given(graphs=st.lists(labeled_graphs(4, 5, _SEPARATOR_LABELS,
+                                          _SEPARATOR_EDGE_LABELS),
+                           min_size=1, max_size=4),
+           min_support=st.integers(1, 3))
+    def test_equals_oracle_with_separator_labels(self, graphs, min_support):
+        got = {canonical_code(r.pattern): (r.support, r.graph_ids)
+               for r in mine_frequent_subgraphs(graphs, min_support,
+                                                max_nodes=3)}
+        assert got == oracle_mine(graphs, min_support, 3)
+
 
 class TestPersistence:
     def make_store(self):
@@ -528,6 +578,72 @@ class TestPersistence:
         assert list_graphs(store) == [(host.id, "g", "")]
         assert store.connection.execute(
             "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
+
+    def test_load_graphs_equals_load_graph(self):
+        store = self.make_store()
+        for graph in (
+                LabeledGraph(nodes=["a", "b", "c"], edges=[(0, 1, "x")],
+                             name="isolated node", graph_type="dependency"),
+                LabeledGraph(nodes=[], name="no nodes",
+                             graph_type="dependency"),
+                LabeledGraph(nodes=["p"], name="other type",
+                             graph_type="pattern"),
+                LabeledGraph(nodes=["d", "e", "f"],
+                             edges=[(2, 0, "y"), (0, 1, "z"), (1, 0, "z")],
+                             name="three edges", graph_type="dependency")):
+            persist_graph(store, graph)
+
+        def fields(g):
+            return g.id, g.name, g.graph_type, g.nodes, g.edges
+
+        loaded = load_graphs(store, "dependency")
+        assert [fields(g) for g in loaded] == [
+            fields(load_graph(store, gid))
+            for gid, _, _ in list_graphs(store, graph_type="dependency")]
+        assert [g.name for g in loaded] == ["isolated node", "no nodes",
+                                            "three edges"]
+        assert load_graphs(store, "unknown") == []
+
+    def test_persist_graphs_all_or_nothing(self):
+        store = self.make_store()
+        with store.connection:
+            store.connection.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON graphs"
+                " WHEN (SELECT COUNT(*) FROM graphs) >= 2"
+                " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        batch = [LabeledGraph(nodes=["a"], name=f"g{n}") for n in range(3)]
+        with pytest.raises(StoreError, match="refused"):
+            persist_graphs(store, batch)
+        assert list_graphs(store) == []
+        assert [g.id for g in batch] == [None, None, None]
+        with store.connection:
+            store.connection.execute("DROP TRIGGER refuse")
+        ids = persist_graphs(store, batch)
+        assert ids == [g.id for g in batch]
+        assert list_graphs(store) == [(gid, f"g{n}", "")
+                                      for n, gid in enumerate(ids)]
+
+    def test_each_mapped_graph_id_checked_once(self):
+        store = self.make_store()
+        hosts = [LabeledGraph(nodes=["a", "a", "a"], name=f"g{n}")
+                 for n in range(2)]
+        persist_graphs(store, hosts)
+        results = mine_frequent_subgraphs(hosts, 1, max_nodes=1)
+        mappings = [SubgraphMapping(graph_id=host.id, subgraph_id=0,
+                                    node_map=m.node_map)
+                    for host in hosts
+                    for m in find_subgraph_occurrences(host,
+                                                       results[0].pattern)]
+        assert len(mappings) == 6
+        statements = []
+        store.connection.set_trace_callback(statements.append)
+        persist_mining_results(store, results, mappings)
+        store.connection.set_trace_callback(None)
+        checks = [sql for sql in statements
+                  if sql.startswith('SELECT 1 FROM "graphs"')]
+        assert len(checks) == 2
+        assert store.connection.execute(
+            "SELECT COUNT(*) FROM lg_sigsub").fetchone() == (6,)
 
 
 _GRAPH_TEXT = st.text(st.characters(codec="utf-8")

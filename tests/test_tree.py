@@ -193,6 +193,15 @@ def test_queries_match_oracle_after_removals():
             assert tree.query(rel, b) == oracle_query(kept, rel, b)
 
 
+def test_starting_from_matches_oracle():
+    rng = random.Random(6061)
+    entries = random_entries(rng, 150, span=40)
+    tree = build(entries)
+    for position in range(-1, 42):
+        want = [e for e in canonical(entries) if e[0].start >= position]
+        assert list(tree.starting_from(position)) == want
+
+
 def test_impossible_bounds_short_circuit():
     tree = build([(Interval(n, n + 2), n) for n in range(50)])
     assert tree.query(AllenRelation.BEFORE, Interval(0, 4)) == []
