@@ -47,7 +47,6 @@ from .graphs import (
     build_sentence_graphs,
     canonical_code,
     find_subgraph_occurrences,
-    list_graphs,
     load_graph,
     load_graphs,
     mine_frequent_subgraphs,
@@ -118,7 +117,6 @@ __all__ = [
     "holds",
     "import_external_annotations",
     "inverse",
-    "list_graphs",
     "load_config",
     "load_graph",
     "load_graphs",

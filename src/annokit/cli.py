@@ -39,8 +39,15 @@ EXIT_PREREQ = 3
 EXIT_RELATION = 4
 EXIT_CONVERSION = 5
 
-# stage execution order is fixed; requests are reordered to match
-STAGES = ("tokenize", "sentences", "sections", "concepts", "graphs")
+# each stage in execution order (requests are reordered to match) with
+# the annotation types it writes; it has run on a document holding any
+STAGES = {
+    "tokenize": ("token",),
+    "sentences": ("sentence",),
+    "sections": ("section", "template"),
+    "concepts": ("CUI", "TUI", "SP-POS"),
+    "graphs": (),
+}
 
 TABLE_HEADER = "Start\tEnd\tAnnotation Type\tAnnotation Attribute"
 
@@ -184,35 +191,39 @@ class _StageResources:
                 max_phrase_tokens=config.max_phrase_tokens)
 
 
+def _has_run(doc: Document, stage: str) -> bool:
+    return any(t in doc.index.by_type for t in STAGES[stage])
+
+
 def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
-    """Execute one stage unless its output already exists. Returns the
-    number of graphs persisted (graphs stage only)."""
+    """Execute one stage unless it has run on the document, that is
+    unless the document holds any of the types ``STAGES`` lists for it.
+    The graphs stage writes no annotations: it persists the graphs it
+    builds unless the store holds the first of them by name (their names
+    are unique per document and sentence, and a document's graphs are
+    written all or nothing). Returns the number of graphs persisted."""
+    if _has_run(doc, stage):
+        return 0
     if stage == "tokenize":
-        if "token" not in doc.index.by_type:
-            for ann in doc_tools.tokenize(doc):
-                doc.add_annotation(ann)
+        for ann in doc_tools.tokenize(doc):
+            doc.add_annotation(ann)
     elif stage == "sentences":
-        if "sentence" not in doc.index.by_type:
-            for ann in doc_tools.split_sentences(
-                    doc, resources.abbreviations):
-                doc.add_annotation(ann)
+        for ann in doc_tools.split_sentences(doc, resources.abbreviations):
+            doc.add_annotation(ann)
     elif stage == "sections":
-        if "section" not in doc.index.by_type:
-            section_tools.detect_sections(doc, resources.guideline)
-            section_tools.match_templates(doc, resources.guideline)
+        section_tools.detect_sections(doc, resources.guideline)
+        section_tools.match_templates(doc, resources.guideline)
     elif stage == "concepts":
-        if "token" not in doc.index.by_type and "tokenize" not in stages:
+        if not _has_run(doc, "tokenize") and "tokenize" not in stages:
             raise PrerequisiteGapError(
                 f"{doc.name}: concepts requires tokens;"
                 " run the tokenize stage first")
-        if "CUI" not in doc.index.by_type:
-            for sentence in doc.annotations("sentence"):
-                concept_tools.annotate_concepts(doc, sentence,
-                                                resources.lexicon)
-            concept_tools.annotate_tuis(doc, resources.lexicon)
-            concept_tools.annotate_sp_pos(doc, resources.lexicon)
+        for sentence in doc.annotations("sentence"):
+            concept_tools.annotate_concepts(doc, sentence, resources.lexicon)
+        concept_tools.annotate_tuis(doc, resources.lexicon)
+        concept_tools.annotate_sp_pos(doc, resources.lexicon)
     elif stage == "graphs":
-        if "CUI" not in doc.index.by_type and "concepts" not in stages:
+        if not _has_run(doc, "concepts") and "concepts" not in stages:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires concepts;"
                 " run the concepts stage first")
@@ -220,8 +231,8 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires imported dependency"
                 " annotations")
-        if not graph_tools.list_graphs(store, name_prefix=doc.name + ":"):
-            built = graph_tools.build_sentence_graphs(doc)
+        built = graph_tools.build_sentence_graphs(doc)
+        if built and store.find_graph(built[0].name) is None:
             graph_tools.persist_graphs(store, built)
             return len(built)
     return 0

@@ -441,12 +441,6 @@ def persist_graph(store: CdmStore, graph: LabeledGraph) -> int:
     return persist_graphs(store, [graph])[0]
 
 
-def list_graphs(store: CdmStore, name_prefix: str | None = None,
-                graph_type: str | None = None) -> list[tuple[int, str, str]]:
-    """(id, name, type) rows, optionally filtered, ordered by id."""
-    return store.list_graphs(name_prefix, graph_type)
-
-
 def _graph_from_links(graph_id: int, name: str, graph_type: str,
                       rows) -> LabeledGraph:
     """A graph rebuilt from its linkage rows, nodes renumbered densely in

@@ -159,8 +159,6 @@ def _declared_columns() -> dict[str, tuple[str, ...]]:
 
 
 _INDEXES = (
-    "CREATE INDEX IF NOT EXISTS idx_annotations_document"
-    " ON annotations (document_id)",
     'CREATE INDEX IF NOT EXISTS idx_annotations_type_value'
     ' ON annotations (type_id, value)',
     'CREATE INDEX IF NOT EXISTS idx_annotations_doc_span'
@@ -641,19 +639,18 @@ class CdmStore:
             return [self._insert_graph(name, graph_type, links)
                     for name, graph_type, links in graphs]
 
-    def list_graphs(self, name_prefix: str | None = None,
-                    graph_type: str | None = None
+    def find_graph(self, name: str) -> int | None:
+        row = self._conn.execute(
+            "SELECT id FROM graphs WHERE name = ?", (name,)
+        ).fetchone()
+        return None if row is None else row[0]
+
+    def list_graphs(self, graph_type: str | None = None
                     ) -> list[tuple[int, str, str]]:
-        """(id, name, type) rows, optionally filtered, ordered by id. The
-        name prefix matches exactly, case included."""
-        clauses, params = [], []
-        if name_prefix is not None:
-            clauses.append("substr(name, 1, length(?)) = ?")
-            params += [name_prefix, name_prefix]
+        """(id, name, type) rows, optionally of one type, ordered by id."""
+        where, params = "", ()
         if graph_type is not None:
-            clauses.append("type = ?")
-            params.append(graph_type)
-        where = (" WHERE " + " AND ".join(clauses)) if clauses else ""
+            where, params = " WHERE type = ?", (graph_type,)
         return self._conn.execute(
             f"SELECT id, name, type FROM graphs{where} ORDER BY id",
             params).fetchall()

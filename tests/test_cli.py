@@ -12,7 +12,6 @@ from annokit.cli import main
 from annokit.config import load_config
 from annokit.graphs import (
     LabeledGraph,
-    list_graphs,
     load_graph,
     persist_graphs,
     write_graph_file,
@@ -248,15 +247,63 @@ class TestImportAndRun:
         assert run(ws, "run", path, "--stages", stages) == 2
         assert "refused" in capsys.readouterr().err
         with CdmStore(str(ws / "store.db")) as store:
-            assert list_graphs(store) == []
+            assert store.list_graphs() == []
             with store.connection:
                 store.connection.execute("DROP TRIGGER refuse")
         assert run(ws, "run", path, "--stages", stages) == 0
         assert "5 graphs persisted" in capsys.readouterr().out
         with CdmStore(str(ws / "store.db")) as store:
-            assert [name for _, name, _ in list_graphs(store)] == [
+            assert [name for _, name, _ in store.list_graphs()] == [
                 f"d.txt:{n * len(SENTENCE)}-{n * len(SENTENCE) + 19}"
                 for n in range(5)]
+
+    def test_rerun_skips_stages_by_any_output_type(self, ws, capsys):
+        run(ws, "init")
+        guideline = ws / "guideline.xml"
+        guideline.write_text(
+            '<guideline name="g"><template name="marker">'
+            '<pattern regex="CD\\d+"/></template></guideline>',
+            encoding="utf-8")
+        terms = ws / "terms.tsv"
+        terms.write_text("absent term\tC0000001\n", encoding="utf-8")
+        pos = ws / "pos.tsv"
+        pos.write_text("express\tVB\n", encoding="utf-8")
+        add_cfg(ws, guideline=str(guideline), lexicon_terms=str(terms),
+                lexicon_pos=str(pos))
+        path = write_doc(ws)
+        stages = "tokenize,sentences,sections,concepts"
+        assert run(ws, "run", path, "--stages", stages) == 0
+        capsys.readouterr()
+        assert run(ws, "run", path, "--stages", stages) == 0
+        assert "doc1.txt: 0 annotations written" in capsys.readouterr().out
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("doc1.txt"))
+        assert [a.value for a in doc.annotations("template")] == ["marker"]
+        assert [a.value for a in doc.annotations("SP-POS")] == ["VB"]
+        assert doc.annotations("section") == doc.annotations("CUI") == []
+
+    def test_graphs_found_by_exact_name(self, ws, capsys):
+        run(ws, "init")
+        terms = ws / "terms.tsv"
+        terms.write_text(TERMS, encoding="utf-8")
+        add_cfg(ws, lexicon_terms=str(terms))
+        names = ("a:b", "a")
+        paths = [write_doc(ws, name, SENTENCE) for name in names]
+        run(ws, "import", *paths)
+        for name in names:
+            deps = ws / f"{name}.deps"
+            deps.write_text(sentence_deps(name, 1), encoding="utf-8")
+            run(ws, "import", "--annotations", str(deps), "--doc", name)
+        stages = "tokenize,sentences,concepts,graphs"
+        assert run(ws, "run", *paths, "--stages", stages) == 0
+        with CdmStore(str(ws / "store.db")) as store:
+            assert [name for _, name, _ in store.list_graphs()] == [
+                "a:b:0-19", "a:0-19"]
+        capsys.readouterr()
+        assert run(ws, "run", *paths, "--stages", stages) == 0
+        assert "graphs persisted" not in capsys.readouterr().out
+        with CdmStore(str(ws / "store.db")) as store:
+            assert len(store.list_graphs()) == 2
 
     def test_parallel_jobs(self, ws, capsys):
         run(ws, "init")
@@ -593,7 +640,7 @@ class TestJobs:
                      str(jobs), "run", *paths, "--stages",
                      "tokenize,sentences,concepts,graphs"])
         with CdmStore(str(ws / "store.db")) as store:
-            listed = list_graphs(store)
+            listed = store.list_graphs()
             loaded = [load_graph(store, gid) for gid, _, _ in listed]
         return code, listed, loaded
 

@@ -30,7 +30,6 @@ from annokit.graphs import (
     build_sentence_graphs,
     canonical_code,
     find_subgraph_occurrences,
-    list_graphs,
     load_graph,
     load_graphs,
     mine_frequent_subgraphs,
@@ -546,19 +545,6 @@ class TestPersistence:
         with pytest.raises(DanglingReferenceError):
             persist_mining_results(store, results, bad)
 
-    def test_name_prefix_matches_exactly(self):
-        store = self.make_store()
-        for name in ("Note.txt:0-5", "note.txt:0-5", "a%b:1", "aXb:1"):
-            persist_graph(store, LabeledGraph(nodes=["a"], name=name))
-
-        def names(prefix):
-            return [n for _, n, _ in list_graphs(store, name_prefix=prefix)]
-
-        assert names("note.txt:") == ["note.txt:0-5"]
-        assert names("a%b") == ["a%b:1"]
-        assert names("") == ["Note.txt:0-5", "note.txt:0-5", "a%b:1",
-                             "aXb:1"]
-
     def test_mining_results_all_or_nothing(self):
         store = self.make_store()
         host = LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x")],
@@ -575,7 +561,7 @@ class TestPersistence:
                 " BEGIN SELECT RAISE(ABORT, 'refused'); END")
         with pytest.raises(StoreError, match="refused"):
             persist_mining_results(store, results, mappings)
-        assert list_graphs(store) == [(host.id, "g", "")]
+        assert store.list_graphs() == [(host.id, "g", "")]
         assert store.connection.execute(
             "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
 
@@ -599,7 +585,7 @@ class TestPersistence:
         loaded = load_graphs(store, "dependency")
         assert [fields(g) for g in loaded] == [
             fields(load_graph(store, gid))
-            for gid, _, _ in list_graphs(store, graph_type="dependency")]
+            for gid, _, _ in store.list_graphs("dependency")]
         assert [g.name for g in loaded] == ["isolated node", "no nodes",
                                             "three edges"]
         assert load_graphs(store, "unknown") == []
@@ -614,14 +600,14 @@ class TestPersistence:
         batch = [LabeledGraph(nodes=["a"], name=f"g{n}") for n in range(3)]
         with pytest.raises(StoreError, match="refused"):
             persist_graphs(store, batch)
-        assert list_graphs(store) == []
+        assert store.list_graphs() == []
         assert [g.id for g in batch] == [None, None, None]
         with store.connection:
             store.connection.execute("DROP TRIGGER refuse")
         ids = persist_graphs(store, batch)
         assert ids == [g.id for g in batch]
-        assert list_graphs(store) == [(gid, f"g{n}", "")
-                                      for n, gid in enumerate(ids)]
+        assert store.list_graphs() == [(gid, f"g{n}", "")
+                                       for n, gid in enumerate(ids)]
 
     def test_each_mapped_graph_id_checked_once(self):
         store = self.make_store()

@@ -6,9 +6,12 @@ trusted to verify itself.
 """
 
 import random
+import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from annokit.errors import ConversionError, ValidationError
 from annokit.inline import (
@@ -267,3 +270,89 @@ def test_split_records_texts_match_each_record_alone():
         assert record.plain_text == plain == f"Note {n} & seen on May {n}."
         assert [(a.type_name, a.span) for a in record.annotations()] == \
             [(a.type_name, a.span) for a in anns]
+
+
+# a tag-stripping oracle for the markup the strategies below generate:
+# double-quoted attributes, CDATA, the five named entities and numeric
+# character references, and no processing instructions or comments
+_MARKUP = re.compile(
+    r"<!\[CDATA\[(?P<cdata>.*?)\]\]>"
+    r'|<(?P<close>/)?(?P<name>[A-Za-z]+)(?:\s+[A-Za-z]+="[^"]*")*'
+    r"\s*(?P<empty>/)?>"
+    r"|&(?P<entity>#x[0-9A-Fa-f]+|#[0-9]+|[a-z]+);"
+    r"|(?P<text>[^<&]+)", re.S)
+_NAMED = {"amp": "&", "lt": "<", "gt": ">", "quot": '"', "apos": "'"}
+
+
+def strip_tags(markup):
+    """The plain text, and per element in open order (name, start, end,
+    number of elements opened before it closed), read without an XML
+    parser."""
+    chunks, elements, open_ = [], [], []
+    length = 0
+    for m in _MARKUP.finditer(markup):
+        if m["name"]:
+            if not m["close"]:
+                open_.append(len(elements))
+                elements.append([m["name"], length, None, None])
+            if m["close"] or m["empty"]:
+                element = elements[open_.pop()]
+                element[2:] = [length, len(elements)]
+            continue
+        entity = m["entity"]
+        if entity is None:
+            piece = m["text"] if m["cdata"] is None else m["cdata"]
+        elif entity.startswith("#x"):
+            piece = chr(int(entity[2:], 16))
+        elif entity.startswith("#"):
+            piece = chr(int(entity[1:]))
+        else:
+            piece = _NAMED[entity]
+        chunks.append(piece)
+        length += len(piece)
+    assert not open_
+    return "".join(chunks), [tuple(e) for e in elements]
+
+
+def _render(name, type_attr, body):
+    attrs = "" if type_attr is None else f' TYPE="{type_attr}"'
+    if body is None:
+        return f"<{name}{attrs}/>"
+    return f"<{name}{attrs}>{body}</{name}>"
+
+
+_LEAF = st.one_of(
+    st.text(alphabet="ab \u00e9\u4e2d\U0001f600\n\t,.>", min_size=1,
+            max_size=6),
+    st.sampled_from(["&amp;", "&lt;", "&gt;", "&quot;", "&apos;",
+                     "&#233;", "&#x1F600;"]),
+    st.text(alphabet="a<&>]\u00e9\U0001f600 ", max_size=5)
+    .filter(lambda t: "]]>" not in t)
+    .map(lambda t: f"<![CDATA[{t}]]>"),
+)
+_TYPE_ATTR = st.none() | st.text(alphabet="a >\u00e9", max_size=4)
+_CONTENT = st.recursive(_LEAF, lambda inner: st.builds(
+    _render, st.sampled_from(["s", "t", "PHI"]), _TYPE_ATTR,
+    st.none() | st.lists(inner, max_size=3).map("".join)), max_leaves=10)
+_FRAGMENT = st.lists(_CONTENT, max_size=4).map("".join)
+_CORPUS = st.lists(_CONTENT | st.builds(
+    _render, st.just("RECORD"), _TYPE_ATTR, st.none() | _FRAGMENT),
+    max_size=5).map("".join)
+
+
+@settings(max_examples=200, deadline=None)
+@given(_CORPUS)
+def test_round_trip_matches_tag_stripping_oracle(markup):
+    plain, elements = strip_tags(markup)
+    converted, anns = convert(markup)
+    assert converted == plain
+    assert [(a.type_name, a.span.start, a.span.end) for a in anns] == \
+        [(name, start, end) for name, start, end, _ in elements]
+    records = [
+        (plain[start:end],
+         [(inner, s - start, e - start)
+          for inner, s, e, _ in elements[n + 1:closed_at]])
+        for n, (name, start, end, closed_at) in enumerate(elements)
+        if name == "RECORD"]
+    assert [(r.plain_text, [(name, s, e) for name, _, s, e in r.tag_events])
+            for r in split_records(markup)] == records
