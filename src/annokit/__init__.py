@@ -46,6 +46,7 @@ from .graphs import (
     build_dependency_graph,
     build_sentence_graphs,
     canonical_code,
+    find_mined_occurrences,
     find_subgraph_occurrences,
     load_graph,
     load_graphs,
@@ -113,6 +114,7 @@ __all__ = [
     "convert",
     "detect_sections",
     "export_annotations",
+    "find_mined_occurrences",
     "find_subgraph_occurrences",
     "holds",
     "import_external_annotations",

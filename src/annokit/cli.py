@@ -381,15 +381,7 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
             print(f"pattern {n}: support={result.support}"
                   f" graphs=[{members}] {code}")
         if store is not None and results and not args.no_persist:
-            mappings = []
-            by_id = {g.id: g for g in graphs}
-            for n, result in enumerate(results):
-                for gid in result.graph_ids:
-                    for found in graph_tools.find_subgraph_occurrences(
-                            by_id[gid], result.pattern):
-                        mappings.append(graph_tools.SubgraphMapping(
-                            graph_id=gid, subgraph_id=n,
-                            node_map=found.node_map))
+            mappings = graph_tools.find_mined_occurrences(graphs, results)
             graph_tools.persist_mining_results(store, results, mappings)
             print(f"persisted {len(results)} patterns,"
                   f" {len(mappings)} embeddings")

@@ -269,6 +269,34 @@ def find_subgraph_occurrences(host: LabeledGraph, pattern: LabeledGraph
     return out
 
 
+def find_mined_occurrences(graphs: list[LabeledGraph],
+                           results: list[MinedPattern]
+                           ) -> list[SubgraphMapping]:
+    """Every embedding of each mined pattern in each graph that supports
+    it, ``subgraph_id`` being the pattern's position in ``results``.
+    Ordered by pattern, then graph in ``graph_ids`` order, then as
+    ``find_subgraph_occurrences`` orders them. Each host's lookups are
+    built once, however many patterns it supports."""
+    by_id = dict(zip(_mined_ids(graphs), graphs))
+    hosts = {}
+    out = []
+    for n, result in enumerate(results):
+        for graph_id in result.graph_ids:
+            if graph_id not in hosts:
+                hosts[graph_id] = _HostIndex(by_id[graph_id])
+            for assignment in _assignments(hosts[graph_id], result.pattern):
+                out.append(SubgraphMapping(
+                    graph_id=graph_id, subgraph_id=n,
+                    node_map=dict(enumerate(assignment))))
+    return out
+
+
+def _mined_ids(graphs: list[LabeledGraph]) -> list:
+    """The ids mining reports the graphs by: their own, or their
+    positions when they have none."""
+    return [g.id if g.id is not None else n for n, g in enumerate(graphs)]
+
+
 def _triples(graph: LabeledGraph) -> set:
     """The graph's (source label, edge label, target label) triples."""
     return {(graph.nodes[s], l, graph.nodes[d]) for s, d, l in graph.edges}
@@ -328,7 +356,7 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     if not graphs:
         return []
 
-    ids = [g.id if g.id is not None else n for n, g in enumerate(graphs)]
+    ids = _mined_ids(graphs)
     hosts = [_HostIndex(g) for g in graphs]
     host_triples = [_triples(g) for g in graphs]
     labels = sorted({label for g in graphs for label in g.nodes})

@@ -174,6 +174,7 @@ _INDEXES = (
     " ON groundtruth (instance_id, task)",
     "CREATE UNIQUE INDEX IF NOT EXISTS idx_instance_set_members_pair"
     " ON instance_set_members (instance_set_id, instance_id)",
+    "CREATE INDEX IF NOT EXISTS idx_graphs_name ON graphs (name)",
 )
 
 _INSTANCE_KINDS = {
@@ -189,10 +190,26 @@ AnnotationRef = namedtuple(
 )
 
 
+_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                           ensure_ascii=False).encode
+_raw_decode = json.JSONDecoder().raw_decode
+
+
 def canonical_json(mapping) -> str:
     """Byte-stable serialization of a key->text map."""
-    return json.dumps(mapping or {}, sort_keys=True,
-                      separators=(",", ":"), ensure_ascii=False)
+    return _encode(mapping or {})
+
+
+def _loads(text):
+    """``json.loads(text)``, faster on the store's own canonical JSON.
+    Text that ``raw_decode`` does not consume whole (leading or trailing
+    whitespace, trailing garbage, bytes) goes to ``json.loads``, so the
+    same texts are accepted and rejected."""
+    try:
+        value, end = _raw_decode(text)
+    except (ValueError, TypeError):
+        return json.loads(text)
+    return value if end == len(text) else json.loads(text)
 
 
 def _sqlite_errors_as_store_errors(cls):
@@ -430,13 +447,17 @@ class CdmStore:
             ' FROM annotations WHERE document_id = ?'
             ' ORDER BY start, "end", id', (doc_id,)
         ).fetchall()
+        # Rows of one span are adjacent, so they share one (frozen) Interval.
+        span = None
         for ann_id, start, end, type_id, value, ann_data in rows:
             if type_id not in type_names:
                 raise NotFoundError(f"unknown annotation type id {type_id}")
-            attributes = json.loads(ann_data)
+            attributes = _loads(ann_data)
             provenance = attributes.pop(_PROVENANCE_KEY, "")
+            if span is None or span.start != start or span.end != end:
+                span = Interval(start, end)
             doc.index.add(Annotation(
-                span=Interval(start, end),
+                span=span,
                 type_name=type_names[type_id], value=value,
                 attributes=attributes, provenance=provenance,
                 id=ann_id, doc_id=doc_id,

@@ -9,13 +9,17 @@ reproduces the canonical annotation order exactly. A start-sorted array
 is all that interval queries need (NCList, Alekseyenko & Lee,
 Bioinformatics 2007).
 
-Cost model. ``insert`` and ``remove`` bisect the key, comparing payloads
-only within the run of one interval, and shift the list tail in C; input
-in canonical order, as the store reads a document back, only appends.
-``query`` bisects the start range that the relation allows
-and tests each entry in it. No entry is longer than ``max_len``, the
-longest span ever inserted, so the range's lower end is raised to
-``e_lo - max_len`` as well. EQ, STARTS, STARTED_BY, FINISHES, DURING,
+Cost model. An ``insert`` whose interval sorts after the last entry's is
+one compare plus an append: reading a document back in canonical order,
+the store inserts every row that way but those sharing the previous
+row's interval. Any other ``insert``, and every ``remove``, bisects the
+key, comparing payloads only within the run of one interval, and shifts
+the list tail in C.
+
+``query`` bisects the start range that the relation allows and tests
+each entry in it. No entry is longer than ``max_len``, the longest span
+ever inserted, so the range's lower end is raised to ``e_lo - max_len``
+as well. EQ, STARTS, STARTED_BY, FINISHES, DURING,
 OVERLAPPED_BY, MET_BY and AFTER bound the start from below by the probe
 itself and scan little beyond their hits; BEFORE scans the entries
 starting before the probe. MEETS, CONTAINS, FINISHED_BY and OVERLAPS
@@ -105,14 +109,21 @@ class IntervalTree:
         """Add one (interval, payload) entry in payload order among any
         others at the same interval. Re-adding a payload already stored at
         that interval raises DuplicateEntryError."""
-        lo, hi = self._run(interval)
         s, e = interval.start, interval.end
-        k = bisect_left(self._entries, (s, e, payload), lo, hi)
-        if k < hi and self._entries[k][2] == payload:
-            raise DuplicateEntryError(
-                f"entry ({interval}, {payload!r}) already present"
-            )
-        self._entries.insert(k, (s, e, payload, interval))
+        entries = self._entries
+        # (s, e) sorts after the last entry only when the interval does: a
+        # pair equal to an entry's key prefix sorts before it. No entry then
+        # shares the interval, so there is no duplicate to look for.
+        if not entries or (s, e) > entries[-1]:
+            k = lo = hi = len(entries)
+        else:
+            lo, hi = self._run(interval)
+            k = bisect_left(entries, (s, e, payload), lo, hi)
+            if k < hi and entries[k][2] == payload:
+                raise DuplicateEntryError(
+                    f"entry ({interval}, {payload!r}) already present"
+                )
+        entries.insert(k, (s, e, payload, interval))
         if lo == hi:
             self._nodes += 1
         if e - s > self._max_len:

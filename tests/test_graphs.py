@@ -29,6 +29,7 @@ from annokit.graphs import (
     build_dependency_graph,
     build_sentence_graphs,
     canonical_code,
+    find_mined_occurrences,
     find_subgraph_occurrences,
     load_graph,
     load_graphs,
@@ -475,6 +476,27 @@ class TestMining:
                for r in mine_frequent_subgraphs(graphs, min_support,
                                                 max_nodes=3)}
         assert got == oracle_mine(graphs, min_support, 3)
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs=st.lists(labeled_graphs(5, 6, "ab", "xy"),
+                           min_size=1, max_size=5),
+           min_support=st.integers(1, 3), with_ids=st.booleans())
+    def test_mined_occurrences_equal_one_match_per_graph(
+            self, graphs, min_support, with_ids):
+        """The same mappings, in the same order, as one
+        find_subgraph_occurrences call per (pattern, supporting graph).
+        Descending ids keep graph_ids order apart from id order."""
+        if with_ids:
+            for n, graph in enumerate(graphs):
+                graph.id = 100 - 7 * n
+        results = mine_frequent_subgraphs(graphs, min_support, max_nodes=3)
+        by_id = {g.id if g.id is not None else n: g
+                 for n, g in enumerate(graphs)}
+        want = [SubgraphMapping(graph_id=gid, subgraph_id=n,
+                                node_map=m.node_map)
+                for n, r in enumerate(results) for gid in r.graph_ids
+                for m in find_subgraph_occurrences(by_id[gid], r.pattern)]
+        assert find_mined_occurrences(graphs, results) == want
 
 
 class TestPersistence:

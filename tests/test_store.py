@@ -1,11 +1,12 @@
 import ast
+import json
 import pathlib
 import random
 import sqlite3
 import threading
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -74,11 +75,32 @@ def test_schema_ddl_mentions_every_table():
         assert table in ddl
 
 
+def test_find_graph_searches_the_name_index():
+    store = fresh_store()
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    assert store.find_graph("doc:0-19") is None
+    store.connection.set_trace_callback(None)
+    [query] = statements
+    plan = store.connection.execute("EXPLAIN QUERY PLAN " + query).fetchall()
+    assert [row[3] for row in plan] == [
+        "SEARCH graphs USING COVERING INDEX idx_graphs_name (name=?)"]
+
+
 def test_canonical_json_is_byte_stable():
     a = canonical_json({"b": "2", "a": "1"})
     b = canonical_json({"a": "1", "b": "2"})
     assert a == b == '{"a":"1","b":"2"}'
     assert canonical_json(None) == "{}"
+
+
+@settings(max_examples=200, deadline=None)
+@given(mapping=st.none() | st.dictionaries(
+    st.text(), st.text(st.characters() | st.sampled_from('"\\\x00\u2028'))))
+def test_canonical_json_equals_json_dumps(mapping):
+    assert canonical_json(mapping) == json.dumps(
+        mapping or {}, sort_keys=True, separators=(",", ":"),
+        ensure_ascii=False)
 
 
 def test_marshal_counts_rows():
@@ -189,6 +211,54 @@ def test_attribute_data_round_trips_byte_exactly():
     assert row[0] == '{"TYPE":"Hospital"}'
     twin = store.unmarshal_document(doc.id)
     assert twin.annotations()[0].attributes == {"TYPE": "Hospital"}
+
+
+def test_unmarshal_builds_an_index_that_passes_audit():
+    store = fresh_store()
+    doc = Document("audit", "alpha beta gamma")
+    for start, end in ((0, 5), (6, 10), (11, 16)):
+        doc.annotate(Interval(start, end), "token")
+        doc.annotate(Interval(start, end), "CUI", f"C{start}")
+    doc.annotate(Interval(0, 16), "sentence")
+    doc.annotate(Interval(6, 6), "empty")
+    doc.annotate(Interval(6, 10), "token")
+    store.marshal_document(doc)
+    twin = store.unmarshal_document(doc.id)
+    assert twin.index.tree.audit() == {"nodes": 5, "entries": 9}
+    assert [a.id for a in twin.annotations()] == [
+        a.id for a in doc.annotations()]
+
+
+def stored_with_data(text):
+    """A one-annotation store whose data column holds ``text``."""
+    store = fresh_store()
+    doc = Document("raw", "abc")
+    doc.annotate(Interval(0, 3), "token")
+    store.marshal_document(doc)
+    with store.connection:
+        store.connection.execute("UPDATE annotations SET data = ?", (text,))
+    return store, doc.id
+
+
+@pytest.mark.parametrize("text", [
+    ' {"a":"b"}', '\n\t{"a":"b"}', '{"a":"b"} ', '{"a":"b"}\n',
+    ' { "a" : "b" } ', b'{"a":"b"}'])
+def test_data_with_whitespace_around_or_as_bytes_loads(text):
+    store, doc_id = stored_with_data(text)
+    twin = store.unmarshal_document(doc_id)
+    assert twin.annotations()[0].attributes == {"a": "b"}
+
+
+@pytest.mark.parametrize("text", [
+    '{"a":"b"}x', '{"a":"b"} {}', '{}}', '{"a":"b"},', '\ufeff{}', ''])
+def test_data_with_trailing_characters_or_no_value_raises_as_json_loads(
+        text):
+    store, doc_id = stored_with_data(text)
+    with pytest.raises(json.JSONDecodeError) as expected:
+        json.loads(text)
+    with pytest.raises(json.JSONDecodeError) as raised:
+        store.unmarshal_document(doc_id)
+    assert str(raised.value) == str(expected.value)
 
 
 def test_checkpoint_writes_exactly_the_dirty_set():

@@ -287,6 +287,23 @@ class TreeMachine(RuleBasedStateMachine):
         self.entries.append((iv, self.serial))
         self.serial += 1
 
+    @rule(data=st.data())
+    def insert_after_last(self, data):
+        """An interval after every stored one: the append path."""
+        if self.entries:
+            last = max(iv for iv, _ in self.entries)
+            step = data.draw(st.integers(0, 3))
+            start = last.start + step
+            shortest = last.end + 1 if step == 0 else start
+            iv = Interval(start, data.draw(st.integers(shortest,
+                                                       shortest + 5)))
+        else:
+            iv = data.draw(SPANS)
+        self.tree.insert(iv, self.serial)
+        self.entries.append((iv, self.serial))
+        assert list(self.tree)[-1] == (iv, self.serial)
+        self.serial += 1
+
     @precondition(lambda self: self.entries)
     @rule(data=st.data())
     def insert_below(self, data):
