@@ -1,11 +1,12 @@
 """Command-line pipeline driver.
 
 Subcommands: init, import, run, query, segments, convert, graph-mine,
-export, instances. Global flags --config/--convention/--jobs sit in
-front of the subcommand. One thread uses one store: ``run`` takes its
-documents one at a time in argument order, and --jobs changes nothing.
-Exit codes: 0 success, 1 partial or general failure, 2 any store
-failure, 3 missing prerequisite stage, 4 unknown relation tag,
+export, instances. Global flags --config/--convention sit in front of
+the subcommand. A flag named after a setting overrides it through
+``load_config``, and handlers read settings only from the config.
+``run`` takes its documents one at a time, in argument order.
+Exit codes: 0 success, 1 usage error, partial or general failure, 2 any
+store failure, 3 missing prerequisite stage, 4 unknown relation tag,
 5 malformed inline XML.
 """
 
@@ -18,7 +19,7 @@ from . import concepts as concept_tools
 from . import documents as doc_tools
 from . import graphs as graph_tools
 from . import sections as section_tools
-from .config import ENV_PREFIX, PipelineConfig, load_config
+from .config import ENV_PREFIX, SETTINGS, PipelineConfig, load_config
 from .documents import Document
 from .errors import (
     AnnokitError,
@@ -99,23 +100,21 @@ def _import_text_documents(store, paths, corpus_id):
             if store.find_document(name) is not None:
                 print(f"{name}: already in store, skipped")
                 continue
-            with open(path, encoding="utf-8") as handle:
-                doc = Document(name, handle.read())
+            doc = Document(name, doc_tools.read_text(path))
             store.marshal_document(doc)
             if corpus_id is not None:
                 store.add_to_corpus(corpus_id, doc.id)
             print(f"{name}: imported")
         except StoreError:
             raise
-        except (OSError, AnnokitError, UnicodeDecodeError) as exc:
+        except (OSError, AnnokitError) as exc:
             _print_error(f"{name}: {exc}")
             failed += 1
     return failed
 
 
 def _import_inline(store, path, record_element, corpus_id):
-    with open(path, encoding="utf-8") as handle:
-        markup = handle.read()
+    markup = doc_tools.read_text(path)
     records = split_records(markup, record_element=record_element)
     if not records:
         # no record elements: the whole file is one document
@@ -153,8 +152,8 @@ def cmd_import(config: PipelineConfig, args) -> int:
         if args.paths:
             failed = _import_text_documents(store, args.paths, corpus_id)
         if args.inline:
-            element = args.record_element or config.record_element
-            _import_inline(store, args.inline, element, corpus_id)
+            _import_inline(store, args.inline, config.record_element,
+                           corpus_id)
         if args.annotations:
             doc = _load_document(store, args.doc)
             count = doc_tools.import_external_annotations(
@@ -177,8 +176,8 @@ class _StageResources:
             if not config.guideline:
                 raise ConfigError(
                     "the sections stage needs guideline=PATH configured")
-            with open(config.guideline, encoding="utf-8") as handle:
-                self.guideline = section_tools.parse_guideline(handle.read())
+            self.guideline = section_tools.parse_guideline(
+                doc_tools.read_text(config.guideline))
         if "concepts" in stages:
             if not config.lexicon_terms:
                 raise ConfigError(
@@ -245,8 +244,7 @@ def _process_document(store, path, stages, resources) -> int:
     if doc_id is not None:
         doc = store.unmarshal_document(doc_id)
     else:
-        with open(path, encoding="utf-8") as handle:
-            doc = Document(name, handle.read())
+        doc = Document(name, doc_tools.read_text(path))
         store.marshal_document(doc)
     written = 0
     graphs_persisted = 0
@@ -281,7 +279,7 @@ def cmd_run(config: PipelineConfig, args) -> int:
                 gap = gap or exc
             except StoreError:
                 raise
-            except (OSError, AnnokitError, UnicodeDecodeError) as exc:
+            except (OSError, AnnokitError) as exc:
                 _print_error(f"{os.path.basename(path)}: {exc}")
                 failures += 1
     if gap is not None:
@@ -331,8 +329,7 @@ def cmd_segments(config: PipelineConfig, args) -> int:
 # convert
 
 def cmd_convert(config: PipelineConfig, args) -> int:
-    with open(args.path, encoding="utf-8") as handle:
-        markup = handle.read()
+    markup = doc_tools.read_text(args.path)
     out_dir = args.out_dir or os.path.dirname(args.path) or "."
     stem = os.path.splitext(os.path.basename(args.path))[0]
 
@@ -352,8 +349,8 @@ def cmd_convert(config: PipelineConfig, args) -> int:
         for start, end, type_name, attr_text in render_offsets(
                 anns, config.convention):
             print(f"{start}\t{end}\t{type_name}\t{attr_text}")
-        with open(os.path.join(out_dir, name + ".txt"), "w",
-                  encoding="utf-8") as handle:
+        with doc_tools.open_text(os.path.join(out_dir, name + ".txt"),
+                                 "w") as handle:
             handle.write(plain)
         doc_tools.export_annotations(doc, os.path.join(out_dir,
                                                        name + ".ann"))
@@ -363,18 +360,16 @@ def cmd_convert(config: PipelineConfig, args) -> int:
 # graph-mine
 
 def cmd_graph_mine(config: PipelineConfig, args) -> int:
-    min_support = args.min_support or config.min_support
-    max_nodes = args.max_nodes or config.max_nodes
-
     with nullcontext() if args.input else _open_store(config) as store:
         if store is None:
             graphs = graph_tools.read_graph_file(args.input)
         else:
             graphs = graph_tools.load_graphs(store, "dependency")
         results = graph_tools.mine_frequent_subgraphs(
-            graphs, min_support, max_nodes=max_nodes)
+            graphs, config.min_support, max_nodes=config.max_nodes)
         print(f"{len(graphs)} graphs mined, {len(results)} patterns"
-              f" (min_support={min_support}, max_nodes={max_nodes})")
+              f" (min_support={config.min_support},"
+              f" max_nodes={config.max_nodes})")
         for n, result in enumerate(results):
             members = ",".join(str(g) for g in result.graph_ids)
             code = graph_tools.canonical_code(result.pattern)
@@ -448,12 +443,9 @@ def _build_parser() -> argparse.ArgumentParser:
                " environment variables.")
     parser.add_argument("--config", default=None, metavar="PATH",
                         help="key=value configuration file")
-    parser.add_argument("--convention",
-                        choices=["half-open-0", "inclusive-1"],
-                        default=None, help="offset convention for display")
-    parser.add_argument("--jobs", type=int, default=None, metavar="N",
-                        help="accepted for compatibility and ignored:"
-                             " documents are processed one at a time")
+    parser.add_argument("--convention", default=None,
+                        metavar="{half-open-0,inclusive-1}",
+                        help="offset convention for display")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("init", help="create the store schema")
@@ -509,8 +501,8 @@ def _build_parser() -> argparse.ArgumentParser:
                    help="graph interchange file (default: store graphs)")
     p.add_argument("--out", default=None, metavar="PATH",
                    help="write mined patterns to this interchange file")
-    p.add_argument("--min-support", type=int, default=None)
-    p.add_argument("--max-nodes", type=int, default=None)
+    p.add_argument("--min-support", default=None, metavar="N")
+    p.add_argument("--max-nodes", default=None, metavar="N")
     p.add_argument("--no-persist", action="store_true")
     p.set_defaults(handler=cmd_graph_mine)
 
@@ -537,13 +529,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
+    try:
+        args = _build_parser().parse_args(argv)
+    except SystemExit as exc:
+        # --help exits 0; a usage error is a failure like any other
+        return EXIT_OK if exc.code == 0 else EXIT_FAILURE
     try:
         config = load_config(args.config, overrides={
-            "convention": args.convention,
-            "jobs": args.jobs,
-        })
+            key: getattr(args, key, None) for key in SETTINGS})
         config.validate()
         return args.handler(config, args)
     except PrerequisiteGapError as exc:
@@ -556,7 +549,7 @@ def main(argv=None) -> int:
     except StoreError as exc:
         _print_error(exc)
         return EXIT_STORE
-    except (AnnokitError, OSError, UnicodeDecodeError) as exc:
+    except (AnnokitError, OSError) as exc:
         _print_error(exc)
         return EXIT_FAILURE
 

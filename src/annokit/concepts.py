@@ -19,7 +19,7 @@ DEFAULT_MAX_PHRASE_TOKENS = 12
 
 @dataclass
 class Lexicon:
-    """Immutable after load; share freely between threads."""
+    """Immutable after load."""
 
     entries: dict[tuple, list[str]] = field(default_factory=dict)
     cui_to_tui: dict[str, list[str]] = field(default_factory=dict)

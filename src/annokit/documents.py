@@ -18,6 +18,7 @@ from contextlib import contextmanager
 from dataclasses import dataclass, field
 
 from .errors import (
+    AnnokitError,
     BoundsError,
     DuplicateEntryError,
     ImportFormatError,
@@ -378,19 +379,25 @@ def open_text(target, mode="r"):
             yield handle
 
 
+def read_text(src) -> str:
+    """The whole UTF-8 text of ``src``, a path or an open text handle;
+    text that is not UTF-8 is an ``AnnokitError`` naming the file."""
+    try:
+        with open_text(src) as handle:
+            return handle.read()
+    except UnicodeDecodeError as exc:
+        name = getattr(src, "name", src)
+        raise AnnokitError(f"cannot read {name}: {exc}") from exc
+
+
 def content_lines(src) -> list[tuple[int, str]]:
     """(line number, line) for each non-blank, non-``#`` line of ``src``,
     newline stripped; None reads as an empty file."""
     if src is None:
         return []
-    with open_text(src) as handle:
-        lines = handle.readlines()
-    numbered = []
-    for lineno, raw in enumerate(lines, start=1):
-        line = raw.rstrip("\n")
-        if line.strip() and not line.lstrip().startswith("#"):
-            numbered.append((lineno, line))
-    return numbered
+    lines = enumerate(read_text(src).split("\n"), start=1)
+    return [(lineno, line) for lineno, line in lines
+            if line.strip() and not line.lstrip().startswith("#")]
 
 
 # external tab-separated exchange format

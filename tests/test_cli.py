@@ -12,7 +12,6 @@ from annokit.cli import main
 from annokit.config import load_config
 from annokit.graphs import (
     LabeledGraph,
-    load_graph,
     persist_graphs,
     write_graph_file,
 )
@@ -57,6 +56,17 @@ def add_cfg(ws, **settings):
     for key, value in settings.items():
         lines += f"{key}={value}\n"
     cfg.write_text(lines, encoding="utf-8")
+
+
+def write_graphs(ws):
+    """Two one-edge dependency graphs in the interchange format."""
+    path = ws / "graphs.tsv"
+    path.write_text(
+        "graph\t\tg1\tdependency\nn\t0\tcells\nn\t1\texpress\n"
+        "e\t1\t0\tnsubj\n"
+        "graph\t\tg2\tdependency\nn\t0\tcells\nn\t1\texpress\n"
+        "e\t1\t0\tnsubj\n", encoding="utf-8")
+    return str(path)
 
 
 def write_doc(ws, name=" doc1.txt".strip(), text=DOC1):
@@ -108,6 +118,73 @@ class TestConfig:
         add_cfg(ws, abbreviations=str(path))
         config = load_config(str(ws / "annokit.cfg"), env={})
         assert config.abbreviation_set() == {"pt.", "q.d.", "b.i.d."}
+
+    @pytest.mark.parametrize("flag", ["--min-support", "--max-nodes"])
+    def test_zero_flag_is_rejected(self, ws, capsys, flag):
+        assert run(ws, "graph-mine", "--input", write_graphs(ws),
+                   flag, "0") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "must be positive" in err
+
+    def test_flag_beats_environment_beats_file(self, ws, monkeypatch,
+                                               capsys):
+        add_cfg(ws, min_support="3")
+        graphs = write_graphs(ws)
+
+        def mined_with():
+            assert run(ws, "graph-mine", "--input", graphs, *flags) == 0
+            out = capsys.readouterr().out
+            return out.split("min_support=")[1].split(",")[0]
+
+        flags = []
+        assert mined_with() == "3"
+        monkeypatch.setenv("ANNOKIT_MIN_SUPPORT", "4")
+        assert mined_with() == "4"
+        flags = ["--min-support", "5"]
+        assert mined_with() == "5"
+
+    def test_non_utf8_config_file_is_one_error_line(self, tmp_path, capsys):
+        cfg = tmp_path / "latin1.cfg"
+        cfg.write_bytes("# caf\u00e9\nstore_path=x.db\n".encode("latin-1"))
+        assert main(["--config", str(cfg), "init"]) == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(cfg) in err
+
+    def test_non_utf8_lexicon_is_one_error_line(self, ws, capsys):
+        run(ws, "init")
+        terms = ws / "latin1-terms.tsv"
+        terms.write_bytes("caf\u00e9\tC0000001\n".encode("latin-1"))
+        add_cfg(ws, lexicon_terms=str(terms))
+        assert run(ws, "run", write_doc(ws), "--stages",
+                   "tokenize,concepts") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and str(terms) in err
+
+    def test_jobs_is_gone(self, ws, capsys):
+        assert run(ws, "--jobs", "2", "init") == 1
+        assert capsys.readouterr().err.startswith("usage: annokit")
+        add_cfg(ws, jobs="2")
+        assert run(ws, "init") == 1
+        assert "unknown setting 'jobs'" in capsys.readouterr().err
+
+
+class TestUsage:
+    def test_unknown_flag_exits_1(self, ws, capsys):
+        assert run(ws, "--bogus", "init") == 1
+        err = capsys.readouterr().err
+        assert err.startswith("usage: annokit")
+        assert "unrecognized arguments: --bogus" in err
+
+    def test_non_integer_min_support_exits_1(self, ws, capsys):
+        assert run(ws, "graph-mine", "--input", write_graphs(ws),
+                   "--min-support", "two") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1
+        assert "min_support must be an integer, got 'two'" in err
+
+    def test_help_exits_0(self, capsys):
+        assert main(["--help"]) == 0
+        assert capsys.readouterr().out.startswith("usage: annokit")
 
 
 class TestImportAndRun:
@@ -305,12 +382,11 @@ class TestImportAndRun:
         with CdmStore(str(ws / "store.db")) as store:
             assert len(store.list_graphs()) == 2
 
-    def test_parallel_jobs(self, ws, capsys):
+    def test_run_reports_in_argument_order(self, ws, capsys):
         run(ws, "init")
         paths = [write_doc(ws, f"d{i}.txt", f"Note {i} text.")
                  for i in range(3)]
-        assert main(["--config", str(ws / "annokit.cfg"), "--jobs", "2",
-                     "run", *paths, "--stages", "tokenize"]) == 0
+        assert run(ws, "run", *paths, "--stages", "tokenize") == 0
         out = capsys.readouterr().out
         # report order follows the argument order, not completion order
         assert out.index("d0.txt") < out.index("d1.txt") < out.index("d2.txt")
@@ -616,35 +692,3 @@ def sentence_deps(name, count):
                 f"dependent_start={at + dep_start};"
                 f"dependent_end={at + dep_end}\n")
     return "".join(lines)
-
-
-class TestJobs:
-    def graphs_after_run(self, root, jobs):
-        """Exit code and stored graphs of a graphs-stage run over three
-        documents with dependencies, at ``--jobs jobs``."""
-        ws = root / f"jobs{jobs}"
-        ws.mkdir()
-        (ws / "annokit.cfg").write_text(
-            f"store_path={ws / 'store.db'}\n", encoding="utf-8")
-        terms = ws / "terms.tsv"
-        terms.write_text(TERMS, encoding="utf-8")
-        add_cfg(ws, lexicon_terms=str(terms))
-        run(ws, "init")
-        paths = [write_doc(ws, f"d{n}.txt", SENTENCE * 3) for n in range(3)]
-        run(ws, "import", *paths)
-        for n in range(3):
-            deps = ws / f"d{n}.deps"
-            deps.write_text(sentence_deps(f"d{n}.txt", 3), encoding="utf-8")
-            run(ws, "import", "--annotations", str(deps), "--doc", f"d{n}.txt")
-        code = main(["--config", str(ws / "annokit.cfg"), "--jobs",
-                     str(jobs), "run", *paths, "--stages",
-                     "tokenize,sentences,concepts,graphs"])
-        with CdmStore(str(ws / "store.db")) as store:
-            listed = store.list_graphs()
-            loaded = [load_graph(store, gid) for gid, _, _ in listed]
-        return code, listed, loaded
-
-    def test_jobs_2_graphs_same_as_jobs_1(self, tmp_path, capsys):
-        serial = self.graphs_after_run(tmp_path, 1)
-        assert serial[0] == 0 and len(serial[1]) == 9
-        assert self.graphs_after_run(tmp_path, 2) == serial
