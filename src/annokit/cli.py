@@ -376,7 +376,7 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
             print(f"pattern {n}: support={result.support}"
                   f" graphs=[{members}] {code}")
         if store is not None and results and not args.no_persist:
-            mappings = graph_tools.find_mined_occurrences(graphs, results)
+            mappings = graph_tools.find_mined_occurrences(results)
             graph_tools.persist_mining_results(store, results, mappings)
             print(f"persisted {len(results)} patterns,"
                   f" {len(mappings)} embeddings")

@@ -5,24 +5,27 @@ interchange format.
 Dependency parses become graphs by merging each token into the concept
 annotation covering it; leftover tokens stand alone.
 
-Matching maps pattern nodes in order and walks the host's adjacency: a
-pattern node with an edge to an earlier node takes its candidates from
-the host neighbours of that node's image, any other from the host nodes
-of its label. The lookups behind this are built once per host.
+Matching and mining share one breadth-first step over embedding lists
+(an embedding is a tuple of host nodes indexed by pattern node): it
+turns the embeddings of a pattern into those of the pattern grown by one
+edge, extending each through the host neighbours of a mapped node's
+image when the edge brings a new node, and keeping those whose images
+the host links when it joins two mapped nodes. Matching folds the step
+over the pattern's nodes; the lookups behind it are built once per host.
 
 Mining grows connected patterns breadth-first and deduplicates them by a
 canonical code (the lexicographically minimal encoding over all node
 orderings), which is exact at the small pattern sizes this targets.
-Support is anti-monotone, so a candidate is tested only against the
-graphs that support the pattern it was grown from, and a host that lacks
-the candidate's node labels or (source label, edge label, target label)
-triples is rejected before any matching (gSpan, Yan & Han, ICDM 2002,
-restricts support counting in the same way).
+Each pattern carries its embeddings in every graph that supports it, and
+a candidate's are its parent's extended by the candidate's new edge, so
+support is counted without searching again (the occurrence lists of
+gSpan, Yan & Han, ICDM 2002, and GASTON, Nijssen & Kok, KDD 2004).
+Support is anti-monotone, so only the parent's graphs are visited.
 """
 
 import itertools
 import logging
-from collections import Counter, namedtuple
+from collections import namedtuple
 from dataclasses import dataclass, field
 
 from .documents import (
@@ -84,7 +87,11 @@ class SubgraphMapping:
                      tuple(sorted(self.node_map.items()))))
 
 
-MinedPattern = namedtuple("MinedPattern", "pattern support graph_ids")
+# ``embeddings`` holds one list per graph, in ``graph_ids`` order: the
+# pattern's embeddings there, as ``find_subgraph_occurrences`` orders
+# them, each a tuple of host nodes indexed by pattern node.
+MinedPattern = namedtuple("MinedPattern",
+                          "pattern support graph_ids embeddings")
 
 
 # construction from annotations
@@ -208,98 +215,80 @@ class _HostIndex:
             self.out.setdefault((src, label), []).append(dst)
             self.into.setdefault((dst, label), []).append(src)
 
-    def linked(self, src: int, dst: int, label: str) -> bool:
-        return dst in self.out.get((src, label), ())
+
+def _step(host: _HostIndex, embeddings: list, edge, label=None) -> list:
+    """The embeddings of a pattern grown by one edge or node, made from
+    the embeddings of the pattern: tuples of host nodes indexed by
+    pattern node, in ascending order, which the result keeps.
+
+    With a label, the step adds a node of that label, whose index is the
+    tuples' length. ``edge`` (src, dst, edge label) joins it, as its
+    higher-numbered end, to a mapped node, and its image is sought among
+    the host neighbours of that node's image; with no edge, among the
+    host nodes of the label. Without a label, the edge joins two mapped
+    nodes, and the embeddings whose images the host links by it stay."""
+    if label is None:
+        src, dst, edge_label = edge
+        links = host.out
+        return [emb for emb in embeddings
+                if emb[dst] in links.get((emb[src], edge_label), ())]
+    out = []
+    if edge is None:
+        candidates = host.by_label.get(label, ())
+        for emb in embeddings:
+            for h in candidates:
+                if h not in emb:
+                    out.append(emb + (h,))
+        return out
+    src, dst, edge_label = edge
+    links, anchor = (host.into, dst) if src > dst else (host.out, src)
+    nodes = host.nodes
+    for emb in embeddings:
+        for h in links.get((emb[anchor], edge_label), ()):
+            if nodes[h] == label and h not in emb:
+                out.append(emb + (h,))
+    return out
 
 
-def _assignments(host: _HostIndex, pattern: LabeledGraph):
-    """Yield every injective label/direction-preserving embedding as a
-    tuple indexed by pattern node, in ascending tuple order.
-
-    Pattern node i takes its candidates from the host neighbours of an
-    earlier node's image when it has an edge to an earlier node, and
-    from the host nodes of its label otherwise; its other edges to
-    earlier nodes are then checked against the host's adjacency."""
-    n = len(pattern.nodes)
-    pending = [[] for _ in range(n)]
-    for src, dst, label in pattern.edges:
-        pending[max(src, dst)].append((src, dst, label))
-
-    assignment = [None] * n
-    used = [False] * len(host.nodes)
-
-    def extend(i):
-        if i == n:
-            yield tuple(assignment)
-            return
-        want = pattern.nodes[i]
-        if pending[i]:
-            (src, dst, label), *checks = pending[i]
-            candidates = (host.into.get((assignment[dst], label), ())
-                          if src == i
-                          else host.out.get((assignment[src], label), ()))
-        else:
-            checks = ()
-            candidates = host.by_label.get(want, ())
-        for h in candidates:
-            if used[h] or host.nodes[h] != want:
-                continue
-            if not all(host.linked(h if src == i else assignment[src],
-                                   h if dst == i else assignment[dst], label)
-                       for src, dst, label in checks):
-                continue
-            assignment[i] = h
-            used[h] = True
-            yield from extend(i + 1)
-            used[h] = False
-        assignment[i] = None
-
-    yield from extend(0)
+def _embeddings(host: _HostIndex, pattern: LabeledGraph) -> list:
+    """Every injective label/direction-preserving embedding, in ascending
+    tuple order. Pattern node i joins through its first edge to an
+    earlier node, or by its label when it has none; its other edges to
+    earlier nodes then filter."""
+    pending = [[] for _ in pattern.nodes]
+    for edge in pattern.edges:
+        pending[max(edge[0], edge[1])].append(edge)
+    embeddings = [()]
+    for i, label in enumerate(pattern.nodes):
+        first, *checks = pending[i] or [None]
+        embeddings = _step(host, embeddings, first, label)
+        for edge in checks:
+            embeddings = _step(host, embeddings, edge)
+    return embeddings
 
 
 def find_subgraph_occurrences(host: LabeledGraph, pattern: LabeledGraph
                               ) -> list[SubgraphMapping]:
     """All embeddings of the pattern in the host. Non-induced: the host
     may have extra edges among the mapped nodes."""
-    out = []
-    for assignment in _assignments(_HostIndex(host), pattern):
-        out.append(SubgraphMapping(
-            graph_id=host.id, subgraph_id=pattern.id,
-            node_map=dict(enumerate(assignment))))
-    return out
+    return [SubgraphMapping(graph_id=host.id, subgraph_id=pattern.id,
+                            node_map=dict(enumerate(emb)))
+            for emb in _embeddings(_HostIndex(host), pattern)]
 
 
-def find_mined_occurrences(graphs: list[LabeledGraph],
-                           results: list[MinedPattern]
+def find_mined_occurrences(results: list[MinedPattern]
                            ) -> list[SubgraphMapping]:
     """Every embedding of each mined pattern in each graph that supports
     it, ``subgraph_id`` being the pattern's position in ``results``.
     Ordered by pattern, then graph in ``graph_ids`` order, then as
-    ``find_subgraph_occurrences`` orders them. Each host's lookups are
-    built once, however many patterns it supports."""
-    by_id = dict(zip(_mined_ids(graphs), graphs))
-    hosts = {}
-    out = []
-    for n, result in enumerate(results):
-        for graph_id in result.graph_ids:
-            if graph_id not in hosts:
-                hosts[graph_id] = _HostIndex(by_id[graph_id])
-            for assignment in _assignments(hosts[graph_id], result.pattern):
-                out.append(SubgraphMapping(
-                    graph_id=graph_id, subgraph_id=n,
-                    node_map=dict(enumerate(assignment))))
-    return out
-
-
-def _mined_ids(graphs: list[LabeledGraph]) -> list:
-    """The ids mining reports the graphs by: their own, or their
-    positions when they have none."""
-    return [g.id if g.id is not None else n for n, g in enumerate(graphs)]
-
-
-def _triples(graph: LabeledGraph) -> set:
-    """The graph's (source label, edge label, target label) triples."""
-    return {(graph.nodes[s], l, graph.nodes[d]) for s, d, l in graph.edges}
+    ``find_subgraph_occurrences`` orders them. Read from the results'
+    embedding lists, with no matching."""
+    return [SubgraphMapping(graph_id=graph_id, subgraph_id=n,
+                            node_map=dict(enumerate(emb)))
+            for n, result in enumerate(results)
+            for graph_id, embeddings in zip(result.graph_ids,
+                                            result.embeddings)
+            for emb in embeddings]
 
 
 # canonical form and mining
@@ -342,8 +331,10 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     frequent single nodes, extending by one edge at a time (to a new
     node or between existing nodes), so anti-monotonicity guarantees
     completeness, and lets a candidate's support be counted among the
-    graphs of the pattern it grew from alone. Output order: node count,
-    then canonical code.
+    graphs of the pattern it grew from alone, by extending the parent's
+    embeddings there; the count stops once too few graphs are left to
+    reach min_support. Every embedding of each result is kept on it.
+    Output order: node count, then canonical code.
     """
     if min_support < 1:
         raise ValidationError(f"min_support must be >= 1, got {min_support}")
@@ -356,35 +347,25 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     if not graphs:
         return []
 
-    ids = _mined_ids(graphs)
+    ids = [g.id if g.id is not None else n for n, g in enumerate(graphs)]
     hosts = [_HostIndex(g) for g in graphs]
-    host_triples = [_triples(g) for g in graphs]
     labels = sorted({label for g in graphs for label in g.nodes})
-    triples = sorted(set().union(*host_triples))
-
-    def support_of(pattern, among):
-        """The positions in ``among`` of the graphs containing pattern.
-        A host must hold the pattern's triples, and as many nodes of a
-        label as the pattern has (only a repeated label needs counting:
-        the triples or the match itself find a missing one)."""
-        needed = _triples(pattern)
-        repeated = [(label, count)
-                    for label, count in Counter(pattern.nodes).items()
-                    if count > 1]
-        return [n for n in among
-                if needed <= host_triples[n]
-                and all(len(hosts[n].by_label.get(label, ())) >= count
-                        for label, count in repeated)
-                and next(_assignments(hosts[n], pattern), None) is not None]
+    triples = sorted({(g.nodes[s], l, g.nodes[d])
+                      for g in graphs for s, d, l in g.edges})
 
     def found(pattern, members):
-        return MinedPattern(pattern, len(members), [ids[n] for n in members])
+        """The result for a pattern and its supporting graphs, each given
+        as (position, embeddings)."""
+        return MinedPattern(pattern, len(members),
+                            [ids[n] for n, _ in members],
+                            [embeddings for _, embeddings in members])
 
     mined = {}
     frontier = []
     for label in labels:
         pattern = LabeledGraph(nodes=[label], graph_type="pattern")
-        members = support_of(pattern, range(len(graphs)))
+        members = [(n, embeddings) for n, host in enumerate(hosts)
+                   if (embeddings := _step(host, [()], None, label))]
         if len(members) >= min_support:
             mined[canonical_code(pattern)] = found(pattern, members)
             frontier.append((pattern, members))
@@ -396,7 +377,20 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
                 code = canonical_code(candidate)
                 if code in mined:
                     continue
-                members = support_of(candidate, parent_members)
+                edge = candidate.edges[-1]
+                label = (candidate.nodes[-1]
+                         if len(candidate.nodes) > len(pattern.nodes)
+                         else None)
+                members = []
+                spare = len(parent_members) - min_support
+                for n, parent in parent_members:
+                    embeddings = _step(hosts[n], parent, edge, label)
+                    if embeddings:
+                        members.append((n, embeddings))
+                    else:
+                        spare -= 1
+                        if spare < 0:  # min_support is out of reach
+                            break
                 mined[code] = None  # infrequent candidates stay blocked
                 if len(members) >= min_support:
                     mined[code] = found(candidate, members)

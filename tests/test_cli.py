@@ -569,6 +569,22 @@ class TestGraphMine:
         assert "support=2" in printed
         assert out.read_text(encoding="utf-8").count("graph\t") == 3
 
+    def test_two_cycle_output(self, ws, capsys):
+        graphs = ws / "cycles.tsv"
+        graphs.write_text("".join(
+            f"graph\t\t{name}\tdependency\nn\t0\ta\nn\t1\tb\n"
+            "e\t0\t1\tx\ne\t1\t0\ty\n" for name in ("g1", "g2")),
+            encoding="utf-8")
+        assert run(ws, "graph-mine", "--input", str(graphs),
+                   "--min-support", "2", "--max-nodes", "3") == 0
+        assert capsys.readouterr().out == (
+            "2 graphs mined, 5 patterns (min_support=2, max_nodes=3)\n"
+            "pattern 0: support=2 graphs=[0,1] a#\n"
+            "pattern 1: support=2 graphs=[0,1] b#\n"
+            "pattern 2: support=2 graphs=[0,1] a,b#0>1:x\n"
+            "pattern 3: support=2 graphs=[0,1] a,b#0>1:x;1>0:y\n"
+            "pattern 4: support=2 graphs=[0,1] a,b#1>0:y\n")
+
     def test_mine_from_store_persists(self, ws, capsys):
         run(ws, "init")
         terms = ws / "terms.tsv"

@@ -460,6 +460,20 @@ class TestMining:
             mine_frequent_subgraphs([], 1, max_nodes=99)
         assert mine_frequent_subgraphs([], 1) == []
 
+    def test_closing_edge_from_the_newest_node(self):
+        """In a 2-cycle the closing edge 1>0 starts on the newest node,
+        yet joins two nodes the pattern already has."""
+        graphs = [LabeledGraph(nodes=["a", "b"],
+                               edges=[(0, 1, "x"), (1, 0, "y")])
+                  for _ in range(2)]
+        results = mine_frequent_subgraphs(graphs, min_support=2,
+                                          max_nodes=3)
+        assert [(canonical_code(r.pattern), r.support, r.graph_ids)
+                for r in results] == [
+            ("a#", 2, [0, 1]), ("b#", 2, [0, 1]),
+            ("a,b#0>1:x", 2, [0, 1]), ("a,b#0>1:x;1>0:y", 2, [0, 1]),
+            ("a,b#1>0:y", 2, [0, 1])]
+
     def test_member_ids_use_graph_ids_when_set(self):
         g1 = LabeledGraph(nodes=["a"], id=41)
         g2 = LabeledGraph(nodes=["a"], id=17)
@@ -496,7 +510,22 @@ class TestMining:
                                 node_map=m.node_map)
                 for n, r in enumerate(results) for gid in r.graph_ids
                 for m in find_subgraph_occurrences(by_id[gid], r.pattern)]
-        assert find_mined_occurrences(graphs, results) == want
+        assert find_mined_occurrences(results) == want
+
+    @settings(max_examples=60, deadline=None)
+    @given(graphs=st.lists(labeled_graphs(5, 6, "ab", "xy"),
+                           min_size=1, max_size=4),
+           min_support=st.integers(1, 3))
+    def test_embeddings_equal_brute_force_in_order(self, graphs,
+                                                   min_support):
+        """Each graph's embedding list, against the permutation oracle
+        rather than find_subgraph_occurrences, which shares mining's
+        extension step."""
+        for r in mine_frequent_subgraphs(graphs, min_support, max_nodes=3):
+            assert len(r.embeddings) == len(r.graph_ids)
+            for graph_id, embeddings in zip(r.graph_ids, r.embeddings):
+                assert [dict(enumerate(e)) for e in embeddings] == \
+                    brute_force_embeddings(graphs[graph_id], r.pattern)
 
 
 class TestPersistence:
