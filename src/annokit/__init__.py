@@ -42,11 +42,9 @@ from .errors import (
 from .graphs import (
     LabeledGraph,
     MinedPattern,
-    SubgraphMapping,
     build_dependency_graph,
     build_sentence_graphs,
     canonical_code,
-    find_mined_occurrences,
     find_subgraph_occurrences,
     load_graph,
     load_graphs,
@@ -102,7 +100,6 @@ __all__ = [
     "PipelineConfig",
     "SegmentContext",
     "StoreError",
-    "SubgraphMapping",
     "ValidationError",
     "annotate_concepts",
     "annotate_sp_pos",
@@ -114,7 +111,6 @@ __all__ = [
     "convert",
     "detect_sections",
     "export_annotations",
-    "find_mined_occurrences",
     "find_subgraph_occurrences",
     "holds",
     "import_external_annotations",

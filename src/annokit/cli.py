@@ -375,11 +375,12 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
             code = graph_tools.canonical_code(result.pattern)
             print(f"pattern {n}: support={result.support}"
                   f" graphs=[{members}] {code}")
-        if store is not None and results and not args.no_persist:
-            mappings = graph_tools.find_mined_occurrences(results)
-            graph_tools.persist_mining_results(store, results, mappings)
+        if store is not None and not args.no_persist:
+            graph_tools.persist_mining_results(store, results)
+            embeddings = sum(len(found) for result in results
+                             for found in result.embeddings)
             print(f"persisted {len(results)} patterns,"
-                  f" {len(mappings)} embeddings")
+                  f" {embeddings} embeddings")
         if args.out:
             graph_tools.write_graph_file(
                 [r.pattern for r in results], args.out)

@@ -38,8 +38,15 @@ DEFAULT_ABBREVIATIONS = frozenset(
     {"dr.", "mr.", "mrs.", "ms.", "vs.", "e.g.", "i.e."}
 )
 
-# Reserved attribute key used to carry provenance through the line format.
+# Reserved attribute key that carries provenance through the line format
+# and the store, so no annotation may hold it as an attribute.
 _PROVENANCE_KEY = "_provenance"
+
+
+def _check_attributes(attributes: dict) -> None:
+    if _PROVENANCE_KEY in attributes:
+        raise ValidationError(
+            f"attribute key {_PROVENANCE_KEY!r} is reserved for provenance")
 
 
 @dataclass(eq=True)
@@ -141,6 +148,7 @@ class Document:
         none, and mark it dirty."""
         if not ann.type_name:
             raise ValidationError("annotation type_name must be non-empty")
+        _check_attributes(ann.attributes)
         if ann.span.end > len(self._content):
             raise BoundsError(
                 f"span {ann.span} exceeds document length "
@@ -221,6 +229,7 @@ class Document:
         """Modify fields of an existing annotation, keeping the index
         consistent, and mark it dirty."""
         ann = self.annotation(ann_id)
+        _check_attributes(attributes or {})
         if span is not None and span != ann.span:
             if span.end > len(self._content):
                 raise BoundsError(
@@ -390,14 +399,18 @@ def read_text(src) -> str:
         raise AnnokitError(f"cannot read {name}: {exc}") from exc
 
 
+def _is_content(line: str) -> bool:
+    """Whether a line is neither blank nor a ``#`` comment."""
+    return bool(line.strip()) and not line.lstrip().startswith("#")
+
+
 def content_lines(src) -> list[tuple[int, str]]:
     """(line number, line) for each non-blank, non-``#`` line of ``src``,
     newline stripped; None reads as an empty file."""
     if src is None:
         return []
     lines = enumerate(read_text(src).split("\n"), start=1)
-    return [(lineno, line) for lineno, line in lines
-            if line.strip() and not line.lstrip().startswith("#")]
+    return [(lineno, line) for lineno, line in lines if _is_content(line)]
 
 
 # external tab-separated exchange format
@@ -450,17 +463,28 @@ def export_annotations(doc: Document, dest,
 
     Provenance travels as a reserved attribute and attribute text is
     escaped, so a round trip through import_external_annotations loses
-    nothing.
+    nothing. The document name, type and value are written unescaped, so
+    a tab, LF or CR in one of them, or a name that makes the line a
+    comment, is a ``ValidationError``, raised before anything is written.
     """
+    lines = []
+    for ann in doc.annotations(type_filter):
+        line = "\t".join((
+            doc.name, str(ann.span.start), str(ann.span.end),
+            ann.type_name, ann.value, _format_attributes(ann),
+        ))
+        # The attribute column and the offsets hold no separator.
+        if (line.count("\t") != 5 or "\n" in line or "\r" in line
+                or not _is_content(line)):
+            raise ValidationError(
+                f"annotation {ann.id} of {doc.name!r} cannot be exported:"
+                " its document name, type or value holds a tab, LF or CR,"
+                " or its name makes the line a '#' comment")
+        lines.append(line + "\n")
     with open_text(dest, "w") as handle:
         handle.write(_HEADER + "\n")
-        annotations = doc.annotations(type_filter)
-        for ann in annotations:
-            handle.write("\t".join((
-                doc.name, str(ann.span.start), str(ann.span.end),
-                ann.type_name, ann.value, _format_attributes(ann),
-            )) + "\n")
-    return len(annotations)
+        handle.writelines(lines)
+    return len(lines)
 
 
 def import_external_annotations(doc: Document, src) -> int:

@@ -73,20 +73,6 @@ class LabeledGraph:
                 raise ValidationError(f"self-loop on node {src}")
 
 
-@dataclass(frozen=True)
-class SubgraphMapping:
-    """An injective, label- and direction-preserving embedding of a
-    subgraph pattern into a full graph."""
-
-    graph_id: int | None
-    subgraph_id: int | None
-    node_map: dict
-
-    def __hash__(self):
-        return hash((self.graph_id, self.subgraph_id,
-                     tuple(sorted(self.node_map.items()))))
-
-
 # ``embeddings`` holds one list per graph, in ``graph_ids`` order: the
 # pattern's embeddings there, as ``find_subgraph_occurrences`` orders
 # them, each a tuple of host nodes indexed by pattern node.
@@ -268,27 +254,11 @@ def _embeddings(host: _HostIndex, pattern: LabeledGraph) -> list:
 
 
 def find_subgraph_occurrences(host: LabeledGraph, pattern: LabeledGraph
-                              ) -> list[SubgraphMapping]:
-    """All embeddings of the pattern in the host. Non-induced: the host
-    may have extra edges among the mapped nodes."""
-    return [SubgraphMapping(graph_id=host.id, subgraph_id=pattern.id,
-                            node_map=dict(enumerate(emb)))
-            for emb in _embeddings(_HostIndex(host), pattern)]
-
-
-def find_mined_occurrences(results: list[MinedPattern]
-                           ) -> list[SubgraphMapping]:
-    """Every embedding of each mined pattern in each graph that supports
-    it, ``subgraph_id`` being the pattern's position in ``results``.
-    Ordered by pattern, then graph in ``graph_ids`` order, then as
-    ``find_subgraph_occurrences`` orders them. Read from the results'
-    embedding lists, with no matching."""
-    return [SubgraphMapping(graph_id=graph_id, subgraph_id=n,
-                            node_map=dict(enumerate(emb)))
-            for n, result in enumerate(results)
-            for graph_id, embeddings in zip(result.graph_ids,
-                                            result.embeddings)
-            for emb in embeddings]
+                              ) -> list[tuple[int, ...]]:
+    """All embeddings of the pattern in the host, each a tuple of host
+    nodes indexed by pattern node, in ascending order. Non-induced: the
+    host may have extra edges among the mapped nodes."""
+    return _embeddings(_HostIndex(host), pattern)
 
 
 # canonical form and mining
@@ -491,16 +461,13 @@ def load_graphs(store: CdmStore, graph_type: str) -> list[LabeledGraph]:
             for graph_id, name, rows in store.graphs_of_type(graph_type)]
 
 
-def persist_mining_results(store: CdmStore, results: list[MinedPattern],
-                           mappings: list[SubgraphMapping] = ()
+def persist_mining_results(store: CdmStore, results: list[MinedPattern]
                            ) -> list[int]:
     """Store each mined pattern (a graphs row of type "sig_subgraph" plus
-    its sig_subgraph row) and optional embeddings into lg_sigsub, all or
-    nothing. Returns the sig_subgraph ids.
-
-    Mapping.subgraph_id indexes into ``results``; mapping.graph_id must
-    be a persisted graph id.
-    """
+    its sig_subgraph row) and its embeddings in every graph that supports
+    it (lg_sigsub rows), all or nothing, in place of the mining results
+    stored before. Returns the sig_subgraph ids. The results' graph ids
+    must be persisted graph ids."""
     patterns = []
     for result in results:
         pattern = result.pattern
@@ -509,11 +476,9 @@ def persist_mining_results(store: CdmStore, results: list[MinedPattern],
         pattern.graph_type = "sig_subgraph"
         patterns.append((pattern.name, pattern.graph_type, _links(pattern),
                          result.support, {"graph_ids": ",".join(
-                             str(g) for g in result.graph_ids)}))
-    ids = store.create_mining_results(patterns, (
-        (m.graph_id, m.subgraph_id,
-         {str(k): str(v) for k, v in m.node_map.items()})
-        for m in mappings))
+                             str(g) for g in result.graph_ids)},
+                         zip(result.graph_ids, result.embeddings)))
+    ids = store.create_mining_results(patterns)
     for result, (graph_id, _) in zip(results, ids):
         result.pattern.id = graph_id
     return [sig_id for _, sig_id in ids]

@@ -704,34 +704,40 @@ class CdmStore:
                 for (graph_id, name), group in itertools.groupby(
                     rows, key=lambda row: row[:2])]
 
-    def create_mining_results(self, patterns, mappings
-                              ) -> list[tuple[int, int]]:
-        """In one transaction: per pattern (name, graph_type, links,
-        support, data) a graph plus its sig_subgraph row; per mapping
-        (stored graph id, pattern index, node map) an lg_sigsub row.
+    def create_mining_results(self, patterns) -> list[tuple[int, int]]:
+        """In one transaction, in place of the mining results stored
+        before: per pattern (name, graph_type, links, support, data,
+        occurrences) a graph plus its sig_subgraph row, and an lg_sigsub
+        row per embedding in occurrences, (stored graph id, embeddings)
+        pairs, an embedding being a tuple of host nodes by pattern node.
         Returns (graph id, sig_subgraph id) per pattern."""
-        embeddings = []
-        checked = set()
-        for graph_id, n, node_map in mappings:
-            if n not in range(len(patterns)):
-                raise ValidationError(f"mapping references pattern {n}, "
-                                      f"but only {len(patterns)} were given")
-            if graph_id not in checked:
-                self._require_row("graphs", graph_id)
-                checked.add(graph_id)
-            embeddings.append((graph_id, n, canonical_json(node_map)))
-        ids = []
+        ids, found, checked = [], [], set()
         with self._conn:
-            for name, graph_type, links, support, data in patterns:
+            for table, column in (("linkage_graph", "graph_id"),
+                                  ("graphs", "id")):
+                self._conn.execute(
+                    f"DELETE FROM {table} WHERE {column} IN"
+                    " (SELECT subgraph_graph_id FROM sig_subgraph)")
+            self._conn.execute("DELETE FROM sig_subgraph")
+            self._conn.execute("DELETE FROM lg_sigsub")
+            for name, graph_type, links, support, data, occurrences \
+                    in patterns:
                 graph_id = self._insert_graph(name, graph_type, links)
-                cur = self._conn.execute(
+                sig_id = self._conn.execute(
                     "INSERT INTO sig_subgraph (subgraph_graph_id, support,"
                     " data) VALUES (?, ?, ?)",
-                    (graph_id, support, canonical_json(data)))
-                ids.append((graph_id, cur.lastrowid))
+                    (graph_id, support, canonical_json(data))).lastrowid
+                ids.append((graph_id, sig_id))
+                for host_id, embeddings in occurrences:
+                    if host_id not in checked:
+                        self._require_row("graphs", host_id)
+                        checked.add(host_id)
+                    found.append((host_id, sig_id, embeddings))
             self._conn.executemany(
                 "INSERT INTO lg_sigsub (graph_id, sig_subgraph_id,"
                 " node_mapping) VALUES (?, ?, ?)",
-                ((graph_id, ids[n][1], data)
-                 for graph_id, n, data in embeddings))
+                ((host_id, sig_id,
+                  canonical_json({str(k): str(v) for k, v in enumerate(emb)}))
+                 for host_id, sig_id, embeddings in found
+                 for emb in embeddings))
         return ids

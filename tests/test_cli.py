@@ -69,6 +69,14 @@ def write_graphs(ws):
     return str(path)
 
 
+def mining_rows(ws):
+    """The sig_subgraph and lg_sigsub rows of the workspace's store."""
+    with CdmStore(str(ws / "store.db")) as store:
+        return [store.connection.execute(
+            f"SELECT * FROM {table} ORDER BY rowid").fetchall()
+            for table in ("sig_subgraph", "lg_sigsub")]
+
+
 def write_doc(ws, name=" doc1.txt".strip(), text=DOC1):
     path = ws / name
     path.write_text(text, encoding="utf-8")
@@ -609,6 +617,42 @@ class TestGraphMine:
         assert n_sig > 0
         assert n_map > 0
         store.close()
+
+    def mine_stored(self, ws, graphs, options):
+        """Store the graphs, run graph-mine over them, and return the
+        sig_subgraph and lg_sigsub rows."""
+        run(ws, "init")
+        with CdmStore(str(ws / "store.db")) as store:
+            persist_graphs(store, [LabeledGraph(
+                nodes=list(labels), edges=edges, name=f"g{n}",
+                graph_type="dependency")
+                for n, (labels, edges) in enumerate(graphs)])
+        assert run(ws, "graph-mine", *options) == 0
+        return mining_rows(ws)
+
+    def test_stored_mining_rows(self, ws, capsys):
+        sig_subgraph, lg_sigsub = self.mine_stored(
+            ws, [("aba", [(0, 1, "x"), (2, 1, "x")]), ("ba", [(1, 0, "x")])],
+            ["--min-support", "2", "--max-nodes", "2"])
+        assert capsys.readouterr().out.endswith(
+            "persisted 3 patterns, 8 embeddings\n")
+        assert sig_subgraph == [(1, 3, 2, '{"graph_ids":"1,2"}'),
+                                (2, 4, 2, '{"graph_ids":"1,2"}'),
+                                (3, 5, 2, '{"graph_ids":"1,2"}')]
+        assert lg_sigsub == [(1, 1, '{"0":"0"}'), (1, 1, '{"0":"2"}'),
+                             (2, 1, '{"0":"1"}'),
+                             (1, 2, '{"0":"1"}'), (2, 2, '{"0":"0"}'),
+                             (1, 3, '{"0":"0","1":"1"}'),
+                             (1, 3, '{"0":"2","1":"1"}'),
+                             (2, 3, '{"0":"1","1":"0"}')]
+
+    def test_rerun_replaces_results(self, ws, capsys):
+        options = ["--min-support", "3", "--max-nodes", "3"]
+        first = self.mine_stored(
+            ws, [("abc", [(0, 1, "x"), (0, 2, "y")])] * 3, options)
+        assert [len(rows) for rows in first] == [6, 18]
+        assert run(ws, "graph-mine", *options) == 0
+        assert mining_rows(ws) == first
 
     def test_store_and_file_print_the_same_patterns(self, ws, capsys):
         run(ws, "init")

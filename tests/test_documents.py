@@ -70,6 +70,31 @@ def test_empty_type_rejected():
         doc.annotate(Interval(0, 2), "")
 
 
+# The store and the TSV format carry provenance under "_provenance", so an
+# attribute of that name would come back as the provenance or be lost.
+def test_provenance_key_rejected_on_add():
+    doc = make_doc()
+    with pytest.raises(ValidationError):
+        doc.annotate(Interval(0, 2), "t", attributes={"_provenance": "x"})
+    with pytest.raises(ValidationError):
+        doc.add_annotation(Annotation(span=Interval(0, 2), type_name="t",
+                                      attributes={"_provenance": "x"}))
+    assert doc.annotations() == [] and doc.dirty == set()
+
+
+def test_provenance_key_rejected_on_update():
+    doc = make_doc()
+    ann = doc.annotate(Interval(0, 2), "t", attributes={"k": "v"},
+                       provenance="p")
+    doc.dirty.clear()
+    with pytest.raises(ValidationError):
+        doc.update_annotation(ann.id, span=Interval(3, 5),
+                              attributes={"_provenance": "x"})
+    assert (ann.span, ann.attributes, ann.provenance) == \
+        (Interval(0, 2), {"k": "v"}, "p")
+    assert doc.dirty == set()
+
+
 def test_provisional_ids_are_negative_and_distinct():
     doc = make_doc()
     a = doc.annotate(Interval(0, 1), "t")
@@ -375,6 +400,51 @@ def test_tsv_attributes_round_trip_any_text(attributes, provenance):
     [ann] = back.annotations()
     assert ann.attributes == attributes
     assert ann.provenance == provenance
+
+
+def test_export_refuses_a_comment_name():
+    doc = make_doc("abc", name="#note")
+    doc.annotate(Interval(0, 3), "tag", "v")
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "note.ann")
+        with pytest.raises(ValidationError):
+            export_annotations(doc, path)
+        assert not os.path.exists(path)
+
+
+@given(name=_ATTRIBUTE_TEXT, type_name=_ATTRIBUTE_TEXT.filter(bool),
+       value=_ATTRIBUTE_TEXT,
+       attributes=st.dictionaries(
+           _ATTRIBUTE_TEXT.filter(lambda key: key != "_provenance"),
+           _ATTRIBUTE_TEXT, max_size=3),
+       provenance=_ATTRIBUTE_TEXT)
+@example(name=" #note", type_name="tag", value="v", attributes={},
+         provenance="")
+@example(name="d", type_name="tag", value="a\rb", attributes={},
+         provenance="")
+def test_tsv_round_trips_or_export_refuses(name, type_name, value,
+                                           attributes, provenance):
+    """Export refuses exactly the annotations whose line would not read
+    back, and writes nothing then; every other one round-trips."""
+    doc = make_doc("abc", name=name)
+    doc.annotate(Interval(0, 3), type_name, value, attributes, provenance)
+    refused = (name.lstrip().startswith("#")
+               or any(char in text for text in (name, type_name, value)
+                      for char in "\t\n\r"))
+    back = make_doc("abc", name=name)
+    with tempfile.TemporaryDirectory() as directory:
+        path = os.path.join(directory, "d.ann")
+        if refused:
+            with pytest.raises(ValidationError):
+                export_annotations(doc, path)
+            assert not os.path.exists(path)
+            return
+        export_annotations(doc, path)
+        assert import_external_annotations(back, path) == 1
+    [ann] = back.annotations()
+    assert (ann.span, ann.type_name, ann.value, ann.attributes,
+            ann.provenance) == (Interval(0, 3), type_name, value,
+                                attributes, provenance)
 
 
 @pytest.mark.parametrize("attributes", ["k=a\\qb", "k=a\\"])

@@ -25,11 +25,9 @@ from annokit.errors import (
 )
 from annokit.graphs import (
     LabeledGraph,
-    SubgraphMapping,
     build_dependency_graph,
     build_sentence_graphs,
     canonical_code,
-    find_mined_occurrences,
     find_subgraph_occurrences,
     load_graph,
     load_graphs,
@@ -41,7 +39,7 @@ from annokit.graphs import (
     write_graph_file,
 )
 from annokit.intervals import Interval
-from annokit.store import CdmStore
+from annokit.store import CdmStore, canonical_json
 
 
 def dep_attrs(head, dependent):
@@ -243,18 +241,15 @@ class TestMatching:
         g = build_dependency_graph(doc, sent, deps, concepts)
         pattern = LabeledGraph(nodes=["express", "C_a"],
                                edges=[(0, 1, "nsubj")])
-        found = find_subgraph_occurrences(g, pattern)
-        assert len(found) == 1
-        assert found[0].node_map == {0: 1, 1: 0}
+        assert find_subgraph_occurrences(g, pattern) == [(1, 0)]
 
     def test_matches_equal_brute_force(self):
         rng = random.Random(4401)
         for _ in range(60):
             host = random_graph(rng, max_n=6)
             pattern = random_graph(rng, max_n=3)
-            got = sorted(tuple(sorted(m.node_map.items()))
-                         for m in find_subgraph_occurrences(host, pattern))
-            want = sorted(tuple(sorted(m.items()))
+            got = sorted(find_subgraph_occurrences(host, pattern))
+            want = sorted(tuple(m.values())
                           for m in brute_force_embeddings(host, pattern))
             assert got == want
 
@@ -264,9 +259,8 @@ class TestMatching:
             host = random_graph(rng, max_n=5)
             pattern = random_graph(rng, max_n=3)
             for m in find_subgraph_occurrences(host, pattern):
-                values = list(m.node_map.values())
-                assert len(set(values)) == len(values)
-                for p_node, h_node in m.node_map.items():
+                assert len(set(m)) == len(m)
+                for p_node, h_node in enumerate(m):
                     assert pattern.nodes[p_node] == host.nodes[h_node]
 
     def test_pattern_larger_than_host(self):
@@ -295,7 +289,8 @@ class TestMatching:
     def test_occurrences_equal_brute_force_in_order(self, host, pattern):
         """Also disconnected patterns, and patterns whose node i has
         edges only to later nodes (node 1 in the first example)."""
-        got = [m.node_map for m in find_subgraph_occurrences(host, pattern)]
+        got = [dict(enumerate(m))
+               for m in find_subgraph_occurrences(host, pattern)]
         assert got == brute_force_embeddings(host, pattern)
 
 
@@ -494,23 +489,27 @@ class TestMining:
     @settings(max_examples=60, deadline=None)
     @given(graphs=st.lists(labeled_graphs(5, 6, "ab", "xy"),
                            min_size=1, max_size=5),
-           min_support=st.integers(1, 3), with_ids=st.booleans())
+           min_support=st.integers(1, 3), descending=st.booleans())
     def test_mined_occurrences_equal_one_match_per_graph(
-            self, graphs, min_support, with_ids):
-        """The same mappings, in the same order, as one
+            self, graphs, min_support, descending):
+        """The stored embeddings are the same, in the same order, as one
         find_subgraph_occurrences call per (pattern, supporting graph).
         Descending ids keep graph_ids order apart from id order."""
-        if with_ids:
-            for n, graph in enumerate(graphs):
-                graph.id = 100 - 7 * n
-        results = mine_frequent_subgraphs(graphs, min_support, max_nodes=3)
-        by_id = {g.id if g.id is not None else n: g
-                 for n, g in enumerate(graphs)}
-        want = [SubgraphMapping(graph_id=gid, subgraph_id=n,
-                                node_map=m.node_map)
-                for n, r in enumerate(results) for gid in r.graph_ids
-                for m in find_subgraph_occurrences(by_id[gid], r.pattern)]
-        assert find_mined_occurrences(results) == want
+        with CdmStore(":memory:") as store:
+            store.init_schema()
+            persist_graphs(store, graphs[::-1] if descending else graphs)
+            results = mine_frequent_subgraphs(graphs, min_support,
+                                              max_nodes=3)
+            sig_ids = persist_mining_results(store, results)
+            stored = store.connection.execute(
+                "SELECT graph_id, sig_subgraph_id, node_mapping"
+                " FROM lg_sigsub ORDER BY rowid").fetchall()
+        by_id = {g.id: g for g in graphs}
+        assert stored == [
+            (gid, sig_id,
+             canonical_json({str(k): str(v) for k, v in enumerate(m)}))
+            for sig_id, r in zip(sig_ids, results) for gid in r.graph_ids
+            for m in find_subgraph_occurrences(by_id[gid], r.pattern)]
 
     @settings(max_examples=60, deadline=None)
     @given(graphs=st.lists(labeled_graphs(5, 6, "ab", "xy"),
@@ -568,14 +567,7 @@ class TestPersistence:
         persist_graph(store, g1)
         persist_graph(store, g2)
         results = mine_frequent_subgraphs([g1, g2], 2, max_nodes=2)
-        mappings = []
-        for n, r in enumerate(results):
-            for host in (g1, g2):
-                for m in find_subgraph_occurrences(host, r.pattern):
-                    mappings.append(SubgraphMapping(
-                        graph_id=host.id, subgraph_id=n,
-                        node_map=m.node_map))
-        sig_ids = persist_mining_results(store, results, mappings)
+        sig_ids = persist_mining_results(store, results)
         assert len(sig_ids) == len(results)
         stored = store.connection.execute(
             "SELECT subgraph_graph_id, support FROM sig_subgraph"
@@ -586,15 +578,16 @@ class TestPersistence:
             assert back.graph_type == "sig_subgraph"
         n_rows = store.connection.execute(
             "SELECT COUNT(*) FROM lg_sigsub").fetchone()[0]
-        assert n_rows == len(mappings)
+        assert n_rows == sum(len(find_subgraph_occurrences(host, r.pattern))
+                             for r in results for host in (g1, g2))
 
     def test_mapping_with_dangling_graph_id(self):
         store = self.make_store()
         results = mine_frequent_subgraphs(
-            [LabeledGraph(nodes=["a"])], 1, max_nodes=1)
-        bad = [SubgraphMapping(graph_id=999, subgraph_id=0, node_map={0: 0})]
+            [LabeledGraph(nodes=["a"], id=999)], 1, max_nodes=1)
         with pytest.raises(DanglingReferenceError):
-            persist_mining_results(store, results, bad)
+            persist_mining_results(store, results)
+        assert store.list_graphs() == []
 
     def test_mining_results_all_or_nothing(self):
         store = self.make_store()
@@ -602,19 +595,31 @@ class TestPersistence:
                             name="g")
         persist_graph(store, host)
         results = mine_frequent_subgraphs([host], 1, max_nodes=2)
-        mappings = [SubgraphMapping(graph_id=host.id, subgraph_id=n,
-                                    node_map=m.node_map)
-                    for n, r in enumerate(results)
-                    for m in find_subgraph_occurrences(host, r.pattern)]
         with store.connection:
             store.connection.execute(
                 "CREATE TRIGGER refuse BEFORE INSERT ON lg_sigsub"
                 " BEGIN SELECT RAISE(ABORT, 'refused'); END")
         with pytest.raises(StoreError, match="refused"):
-            persist_mining_results(store, results, mappings)
+            persist_mining_results(store, results)
         assert store.list_graphs() == [(host.id, "g", "")]
         assert store.connection.execute(
             "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
+
+    def test_failed_rerun_keeps_earlier_results(self):
+        store = self.make_store()
+        host = LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x")],
+                            name="g")
+        persist_graph(store, host)
+        results = mine_frequent_subgraphs([host], 1, max_nodes=2)
+        persist_mining_results(store, results)
+        with store.connection:
+            store.connection.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON lg_sigsub"
+                " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        stored = list(store.connection.iterdump())
+        with pytest.raises(StoreError, match="refused"):
+            persist_mining_results(store, results)
+        assert list(store.connection.iterdump()) == stored
 
     def test_load_graphs_equals_load_graph(self):
         store = self.make_store()
@@ -666,15 +671,10 @@ class TestPersistence:
                  for n in range(2)]
         persist_graphs(store, hosts)
         results = mine_frequent_subgraphs(hosts, 1, max_nodes=1)
-        mappings = [SubgraphMapping(graph_id=host.id, subgraph_id=0,
-                                    node_map=m.node_map)
-                    for host in hosts
-                    for m in find_subgraph_occurrences(host,
-                                                       results[0].pattern)]
-        assert len(mappings) == 6
+        assert [len(found) for found in results[0].embeddings] == [3, 3]
         statements = []
         store.connection.set_trace_callback(statements.append)
-        persist_mining_results(store, results, mappings)
+        persist_mining_results(store, results)
         store.connection.set_trace_callback(None)
         checks = [sql for sql in statements
                   if sql.startswith('SELECT 1 FROM "graphs"')]
