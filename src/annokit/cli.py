@@ -407,9 +407,8 @@ def cmd_instances(config: PipelineConfig, args) -> int:
         if corpus_id is None:
             raise NotFoundError(f"no corpus named {args.corpus!r}")
         if args.create_documents:
-            created = [store.create_instance(corpus_id, "document", [did])
-                       for did in store.corpus_document_ids(corpus_id)]
-            print(f"{len(created)} instances created")
+            created = store.create_document_instances(corpus_id)
+            print(f"{created} instances created")
             return EXIT_OK
         if args.groundtruth is not None:
             if not (args.task and args.label):

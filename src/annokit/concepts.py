@@ -152,14 +152,19 @@ def tag_sentence(tokens: list[tuple[str, Interval]],
             if cuis:
                 candidates.append((start, end, tuple(cuis)))
 
+    # A kept match containing (start, end) is at most ``longest`` tokens
+    # long, so it starts within ``longest - 1`` tokens before ``start``:
+    # only that window of ``reach`` is read. ``reach[k]`` is the end of
+    # the kept match starting at token k, or 0; there is at most one,
+    # since a shorter one from k would lie inside it. No two candidates
+    # share a token range, so a kept match reaching ``end`` is larger.
+    reach = [0] * n
     kept: list[tuple[int, int, tuple]] = []
     for start, end, cuis in sorted(
             candidates, key=lambda c: (-(c[1] - c[0]), c[0])):
-        contained = any(
-            ks <= start and end <= ke and (ks, ke) != (start, end)
-            for ks, ke, _ in kept)
-        if not contained:
+        if max(reach[max(0, start - longest + 1):start + 1]) < end:
             kept.append((start, end, cuis))
+            reach[start] = end
 
     survivors = []
     for start, end, cuis in kept:

@@ -22,6 +22,7 @@ store has the expected columns reads them back from that DDL.
 
 import contextlib
 import functools
+import gc
 import itertools
 import json
 import sqlite3
@@ -210,6 +211,25 @@ def _loads(text):
     except (ValueError, TypeError):
         return json.loads(text)
     return value if end == len(text) else json.loads(text)
+
+
+@contextlib.contextmanager
+def _bulk_load():
+    """Run the body with no cyclic-GC passes. The objects a load builds
+    form no reference cycles, so a pass over them finds nothing. On exit
+    they move to the oldest generation, so that the first collection
+    after the load does not scan them instead; a caller's frozen objects
+    are left frozen, and a caller that disabled GC keeps it disabled."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            if gc.get_freeze_count() == 0:
+                gc.freeze()
+                gc.unfreeze()
+            gc.enable()
 
 
 def _sqlite_errors_as_store_errors(cls):
@@ -431,38 +451,41 @@ class CdmStore:
     def unmarshal_document(self, doc_id: int) -> Document:
         """Rebuild a document and its full annotation index from rows.
         The result starts clean: nothing is marked dirty."""
-        row = self._conn.execute(
-            "SELECT name, source, size, data, content FROM documents"
-            " WHERE id = ?", (doc_id,)
-        ).fetchone()
-        if row is None:
-            raise NotFoundError(f"no document with id {doc_id}")
-        name, _, _, data, content = row
-        doc = Document(name=name, content=content, doc_id=doc_id,
-                       metadata=json.loads(data))
-        type_names = dict(self._conn.execute(
-            "SELECT id, name FROM annotation_types"))
-        rows = self._conn.execute(
-            'SELECT id, start, "end", type_id, value, data'
-            ' FROM annotations WHERE document_id = ?'
-            ' ORDER BY start, "end", id', (doc_id,)
-        ).fetchall()
-        # Rows of one span are adjacent, so they share one (frozen) Interval.
-        span = None
-        for ann_id, start, end, type_id, value, ann_data in rows:
-            if type_id not in type_names:
-                raise NotFoundError(f"unknown annotation type id {type_id}")
-            attributes = _loads(ann_data)
-            provenance = attributes.pop(_PROVENANCE_KEY, "")
-            if span is None or span.start != start or span.end != end:
-                span = Interval(start, end)
-            doc.index.add(Annotation(
-                span=span,
-                type_name=type_names[type_id], value=value,
-                attributes=attributes, provenance=provenance,
-                id=ann_id, doc_id=doc_id,
-            ))
-        return doc
+        with _bulk_load():
+            row = self._conn.execute(
+                "SELECT name, source, size, data, content FROM documents"
+                " WHERE id = ?", (doc_id,)
+            ).fetchone()
+            if row is None:
+                raise NotFoundError(f"no document with id {doc_id}")
+            name, _, _, data, content = row
+            doc = Document(name=name, content=content, doc_id=doc_id,
+                           metadata=json.loads(data))
+            type_names = dict(self._conn.execute(
+                "SELECT id, name FROM annotation_types"))
+            rows = self._conn.execute(
+                'SELECT id, start, "end", type_id, value, data'
+                ' FROM annotations WHERE document_id = ?'
+                ' ORDER BY start, "end", id', (doc_id,)
+            ).fetchall()
+            # Rows of one span are adjacent, so they share one (frozen)
+            # Interval.
+            span = None
+            for ann_id, start, end, type_id, value, ann_data in rows:
+                if type_id not in type_names:
+                    raise NotFoundError(
+                        f"unknown annotation type id {type_id}")
+                attributes = _loads(ann_data)
+                provenance = attributes.pop(_PROVENANCE_KEY, "")
+                if span is None or span.start != start or span.end != end:
+                    span = Interval(start, end)
+                doc.index.add(Annotation(
+                    span=span,
+                    type_name=type_names[type_id], value=value,
+                    attributes=attributes, provenance=provenance,
+                    id=ann_id, doc_id=doc_id,
+                ))
+            return doc
 
     def find_document(self, name: str) -> int | None:
         row = self._conn.execute(
@@ -587,6 +610,30 @@ class CdmStore:
                  for cid in content_ids],
             )
             return instance_id
+
+    def create_document_instances(self, corpus_id: int) -> int:
+        """A ``document`` instance for each document of the corpus that has
+        none in it yet, all in one transaction, so a rerun creates none.
+        Returns how many were created."""
+        self._require_row("corpora", corpus_id)
+        with self._conn:
+            missing = [r[0] for r in self._conn.execute(
+                "SELECT document_id FROM corpora_documents"
+                " WHERE corpus_id = ? AND document_id NOT IN ("
+                "  SELECT c.content_id FROM instances i"
+                "  JOIN instances_content c ON c.instance_id = i.id"
+                "  WHERE i.corpus_id = ? AND i.kind = 'document')"
+                " ORDER BY document_id", (corpus_id, corpus_id))]
+            for document_id in missing:
+                cur = self._conn.execute(
+                    "INSERT INTO instances (corpus_id, kind, data)"
+                    " VALUES (?, 'document', '{}')", (corpus_id,))
+                self._conn.execute(
+                    "INSERT INTO instances_content"
+                    " (instance_id, content_kind, content_id)"
+                    " VALUES (?, 'document', ?)",
+                    (cur.lastrowid, document_id))
+        return len(missing)
 
     def create_instance_set(self, corpus_id: int, name: str, purpose: str,
                             instance_ids) -> int:

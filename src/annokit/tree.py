@@ -10,41 +10,43 @@ is all that interval queries need (NCList, Alekseyenko & Lee,
 Bioinformatics 2007).
 
 Cost model. An ``insert`` whose interval sorts after the last entry's is
-one compare plus an append: reading a document back in canonical order,
-the store inserts every row that way but those sharing the previous
-row's interval. Any other ``insert``, and every ``remove``, bisects the
-key, comparing payloads only within the run of one interval, and shifts
-the list tail in C.
+one compare plus an append, and so is one at the last entry's interval
+whose payload sorts after the last payload: reading a document back in
+canonical order, the store inserts every row that way. Any other
+``insert``, and every ``remove``, bisects the key, comparing payloads
+only within the run of one interval, and shifts the list tail in C.
 
-``query`` bisects the start range that the relation allows and tests
-each entry in it. No entry is longer than ``max_len``, the longest span
-ever inserted, so the range's lower end is raised to ``e_lo - max_len``
-as well. EQ, STARTS, STARTED_BY, FINISHES, DURING,
-OVERLAPPED_BY, MET_BY and AFTER bound the start from below by the probe
-itself and scan little beyond their hits; BEFORE scans the entries
-starting before the probe. MEETS, CONTAINS, FINISHED_BY and OVERLAPS
-bound the start from below only through ``max_len``: once one long span
-is indexed (a section, the whole document) they scan every entry
-starting within ``max_len`` before the probe, about 1 ms per query on
-40k entries with one document-length span (Python 3.11, 2-vCPU VM).
-Nothing inside annokit issues those four relations. ``within`` scans
-exactly the entries that start inside its interval, and
-``starting_from`` only the entries its caller takes.
+``query`` bisects the start range that the relation allows and keeps the
+entries in it whose end lies in the relation's end range; the bounds are
+exact, so no entry is tested with the relation's predicate. No entry is
+longer than ``max_len``, the longest span ever inserted, so the range's
+lower end is raised to ``e_lo - max_len`` as well. EQ, STARTS,
+STARTED_BY, FINISHES, DURING, OVERLAPPED_BY, MET_BY and AFTER bound the
+start from below by the probe itself and scan little beyond their hits;
+BEFORE scans the entries starting before the probe. MEETS, CONTAINS,
+FINISHED_BY and OVERLAPS bound the start from below only through
+``max_len``: once one long span is indexed (a section, the whole
+document) they scan every entry starting within ``max_len`` before the
+probe, about 1 ms per query on 40k entries with one document-length span
+(Python 3.11, 2-vCPU VM). Nothing inside annokit issues those four
+relations. ``within`` scans exactly the entries that start inside its
+interval, and ``starting_from`` only the entries its caller takes.
 """
 
 import math
 from bisect import bisect_left
 
 from .errors import DuplicateEntryError, NotFoundError, ValidationError
-from .intervals import AllenRelation, Interval, holds
+from .intervals import AllenRelation, Interval
 
 INF = math.inf
 
 
-# Inclusive bounds (s_lo, s_hi, e_lo, e_hi) that any interval i satisfying
-# "i REL b" must obey, given b = (bs, be). Derived from the relation
-# predicates plus i.start <= i.end. Purely a pruning device: every visited
-# entry is still tested with the exact predicate.
+# Inclusive bounds (s_lo, s_hi, e_lo, e_hi) on an interval i such that,
+# given b = (bs, be), "i REL b" holds exactly when i lies within them.
+# Derived from the relation predicates plus i.start <= i.end, null
+# intervals included; the bounds are exact, so query() never calls the
+# predicate.
 _BOUNDS = {
     AllenRelation.EQ: lambda bs, be: (bs, bs, be, be),
     AllenRelation.BEFORE: lambda bs, be: (0, bs - 1, 0, bs - 1),
@@ -116,6 +118,12 @@ class IntervalTree:
         # shares the interval, so there is no duplicate to look for.
         if not entries or (s, e) > entries[-1]:
             k = lo = hi = len(entries)
+        elif (entries[-1][0] == s and entries[-1][1] == e
+              and entries[-1][2] < payload):
+            # The tie of an in-order load: last in its run, and no
+            # duplicate, since the payload sorts after every stored one.
+            entries.append((s, e, payload, interval))
+            return
         else:
             lo, hi = self._run(interval)
             k = bisect_left(entries, (s, e, payload), lo, hi)
@@ -161,7 +169,7 @@ class IntervalTree:
         self.last_visited = hi - lo
         return [(iv, payload)
                 for _, end, payload, iv in entries[lo:hi]
-                if e_lo <= end <= e_hi and holds(relation, iv, interval)]
+                if e_lo <= end <= e_hi]
 
     def within(self, interval: Interval) -> list:
         """All (interval, payload) entries lying inside ``interval``,

@@ -708,6 +708,31 @@ class TestInstances:
                    "--make-set", "train", "--purpose", "training") == 0
         assert "2 members" in capsys.readouterr().out
 
+    def test_create_documents_rerun_creates_none(self, ws, capsys):
+        run(ws, "init")
+        paths = [write_doc(ws, f"doc{n}.txt", f"Note {n}.")
+                 for n in range(3)]
+        run(ws, "import", *paths[:2], "--corpus", "notes")
+        capsys.readouterr()
+        assert run(ws, "instances", "--corpus", "notes",
+                   "--create-documents") == 0
+        assert capsys.readouterr().out == "2 instances created\n"
+        assert run(ws, "instances", "--corpus", "notes",
+                   "--create-documents") == 0
+        assert capsys.readouterr().out == "0 instances created\n"
+        run(ws, "import", paths[2], "--corpus", "notes")
+        capsys.readouterr()
+        assert run(ws, "instances", "--corpus", "notes",
+                   "--create-documents") == 0
+        assert capsys.readouterr().out == "1 instances created\n"
+        assert run(ws, "instances", "--corpus", "notes") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "1\tdocument", "2\tdocument", "3\tdocument"]
+        with CdmStore(str(ws / "store.db")) as store:
+            assert store.connection.execute(
+                "SELECT content_id FROM instances_content"
+                " ORDER BY instance_id").fetchall() == [(1,), (2,), (3,)]
+
     def test_unknown_corpus(self, ws, capsys):
         run(ws, "init")
         assert run(ws, "instances", "--corpus", "ghost") == 1

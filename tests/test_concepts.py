@@ -1,5 +1,6 @@
 import io
 import random
+import time
 
 import pytest
 
@@ -158,6 +159,26 @@ def test_random_cases_match_oracle():
                       max_phrase_tokens=rng.choice((2, 3, 12)))
         assert ranges(tag_sentence(tokens, lexicon)) == \
             oracle_tag(tokens, lexicon)
+
+
+def test_tagging_time_grows_linearly_with_sentence_length():
+    # One long unpunctuated sentence is one sentence; every "high fever"
+    # keeps one match and drops the "fever" inside it. Linear tagging
+    # takes about 8 times as long for 8 times the tokens, a pairwise
+    # containment check about 64 times.
+    lexicon = lex([("fever", "C1"), ("high fever", "C2")])
+
+    def best_of_three(n):
+        tokens = lay_out(["high", "fever"] * (n // 2))
+        times = []
+        for _ in range(3):
+            started = time.perf_counter()
+            got = tag_sentence(tokens, lexicon)
+            times.append(time.perf_counter() - started)
+        assert len(got) == n // 2
+        return min(times)
+
+    assert best_of_three(16_000) < 16 * best_of_three(2_000)
 
 
 def test_no_kept_match_contained_in_another():

@@ -1,4 +1,5 @@
 import ast
+import gc
 import json
 import pathlib
 import random
@@ -229,6 +230,78 @@ def test_unmarshal_builds_an_index_that_passes_audit():
         a.id for a in doc.annotations()]
 
 
+@pytest.fixture
+def gc_state():
+    """Restore the collector's state whatever a test leaves behind."""
+    enabled = gc.isenabled()
+    try:
+        yield
+    finally:
+        gc.unfreeze()
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+
+
+def stored_two_token_document(store):
+    doc = Document("gc", "alpha beta")
+    doc.annotate(Interval(0, 5), "token")
+    doc.annotate(Interval(6, 10), "token")
+    store.marshal_document(doc)
+    return doc.id
+
+
+def test_unmarshal_keeps_gc_enabled_and_promotes_what_it_built(gc_state):
+    store = fresh_store()
+    doc_id = stored_two_token_document(store)
+    gc.enable()
+    twin = store.unmarshal_document(doc_id)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == 0
+    # moved to the oldest generation, so no young collection scans it
+    ann = twin.annotations()[0]
+    assert any(obj is ann for obj in gc.get_objects(generation=2))
+
+
+def test_unmarshal_keeps_gc_disabled(gc_state):
+    store = fresh_store()
+    doc_id = stored_two_token_document(store)
+    gc.disable()
+    store.unmarshal_document(doc_id)
+    assert not gc.isenabled()
+
+
+def test_unmarshal_leaves_a_callers_frozen_objects_frozen(gc_state):
+    store = fresh_store()
+    doc_id = stored_two_token_document(store)
+    gc.enable()
+    gc.freeze()
+    frozen = gc.get_freeze_count()
+    assert frozen > 0
+    store.unmarshal_document(doc_id)
+    assert gc.isenabled()
+    assert gc.get_freeze_count() == frozen
+
+
+def test_unmarshal_restores_gc_when_the_load_fails(gc_state):
+    store = fresh_store()
+    doc_id = stored_two_token_document(store)
+    store.connection.execute("DELETE FROM annotation_types")
+    for enabled in (True, False):
+        if enabled:
+            gc.enable()
+        else:
+            gc.disable()
+        with pytest.raises(NotFoundError, match="no document"):
+            store.unmarshal_document(doc_id + 1)
+        assert gc.isenabled() is enabled
+        with pytest.raises(NotFoundError, match="unknown annotation type"):
+            store.unmarshal_document(doc_id)
+        assert gc.isenabled() is enabled
+        assert gc.get_freeze_count() == 0
+
+
 def stored_with_data(text):
     """A one-annotation store whose data column holds ``text``."""
     store = fresh_store()
@@ -386,6 +459,32 @@ def test_instance_kind_rules():
         store.create_instance(777, "document", [doc.id])
 
 
+def test_create_document_instances_skips_documents_that_have_one():
+    store = fresh_store()
+    corpus = store.create_corpus("c")
+    other = store.create_corpus("other")
+    docs = [Document(f"d{n}", "text") for n in range(3)]
+    for doc in docs:
+        store.marshal_document(doc)
+        store.add_to_corpus(corpus, doc.id)
+    store.add_to_corpus(other, docs[0].id)
+    store.create_instance(corpus, "document_set", [docs[0].id])
+    store.create_instance(corpus, "document", [docs[1].id])
+    store.create_instance(other, "document", [docs[2].id])
+    assert store.create_document_instances(corpus) == 2
+    assert store.create_document_instances(corpus) == 0
+    assert store.create_document_instances(other) == 1
+    kinds = [kind for _, kind in store.corpus_instances(corpus)]
+    assert kinds == ["document_set", "document", "document", "document"]
+    assert store.connection.execute(
+        "SELECT c.content_id FROM instances i JOIN instances_content c"
+        " ON c.instance_id = i.id WHERE i.corpus_id = ?"
+        " AND i.kind = 'document' ORDER BY c.content_id",
+        (corpus,)).fetchall() == [(d.id,) for d in docs]
+    with pytest.raises(DanglingReferenceError):
+        store.create_document_instances(999)
+
+
 def test_instance_sets_and_membership():
     store = fresh_store()
     corpus = store.create_corpus("c")
@@ -433,6 +532,7 @@ def test_groundtruth_upserts():
     ("groundtruth_for", (1,)),
     ("list_graphs", ()),
     ("graph_links", (1,)),
+    ("create_document_instances", (1,)),
 ])
 def test_store_without_schema_raises_store_error(method, args):
     with CdmStore(":memory:") as store:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -81,6 +81,24 @@ def test_duplicate_entry_rejected():
     # same payload under a different interval is a different entry
     tree.insert(Interval(3, 9), "x")
     assert len(tree) == 2
+
+
+def test_in_order_ties_append_as_one_node():
+    tree = IntervalTree()
+    tree.insert(Interval(0, 2), 0)
+    for payload in (1, 2, 3):
+        tree.insert(Interval(3, 8), payload)
+    assert tree.node_count == 2
+    assert tree.audit() == {"nodes": 2, "entries": 4}
+    assert tree.find(Interval(3, 8)) == [1, 2, 3]
+    with pytest.raises(DuplicateEntryError):
+        tree.insert(Interval(3, 8), 3)
+    # a smaller payload at the last interval still goes in payload order
+    tree.insert(Interval(3, 8), -1)
+    tree.insert(Interval(3, 8), 4)
+    assert tree.node_count == 2
+    assert tree.audit() == {"nodes": 2, "entries": 6}
+    assert tree.find(Interval(3, 8)) == [-1, 1, 2, 3, 4]
 
 
 def test_remove_peels_payloads_then_node():
@@ -191,6 +209,23 @@ def test_queries_match_oracle_after_removals():
         b = Interval(s, e)
         for rel in AllenRelation:
             assert tree.query(rel, b) == oracle_query(kept, rel, b)
+
+
+small_intervals = st.tuples(st.integers(0, 8), st.integers(0, 8)).map(
+    lambda p: Interval(min(p), max(p)))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(small_intervals, max_size=30), small_intervals,
+       st.booleans())
+def test_query_equals_the_predicate_filter(intervals, b, in_order):
+    # query() keeps an entry on its bounds alone: this pins them exact
+    # for every relation, null intervals and null probes included.
+    entries = [(iv, n) for n, iv in enumerate(intervals)]
+    tree = build(canonical(entries) if in_order else entries)
+    tree.audit()
+    for rel in AllenRelation:
+        assert tree.query(rel, b) == oracle_query(entries, rel, b), rel
 
 
 def test_starting_from_matches_oracle():
