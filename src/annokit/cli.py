@@ -92,68 +92,54 @@ def cmd_init(config: PipelineConfig, args) -> int:
 
 # import
 
-def _import_text_documents(store, paths, corpus_id):
-    failed = 0
+def _read_text_documents(paths):
+    """A document per readable file, and the count of unreadable ones."""
+    docs, failed = [], 0
     for path in paths:
         name = os.path.basename(path)
         try:
-            if store.find_document(name) is not None:
-                print(f"{name}: already in store, skipped")
-                continue
-            doc = Document(name, doc_tools.read_text(path))
-            store.marshal_document(doc)
-            if corpus_id is not None:
-                store.add_to_corpus(corpus_id, doc.id)
-            print(f"{name}: imported")
-        except StoreError:
-            raise
+            docs.append(Document(name, doc_tools.read_text(path)))
         except (OSError, AnnokitError) as exc:
             _print_error(f"{name}: {exc}")
             failed += 1
-    return failed
+    return docs, failed
 
 
-def _import_inline(store, path, record_element, corpus_id):
+def _read_inline(path, record_element):
     markup = doc_tools.read_text(path)
     records = split_records(markup, record_element=record_element)
-    if not records:
-        # no record elements: the whole file is one document
-        stem = os.path.splitext(os.path.basename(path))[0]
-        plain, anns = convert(markup)
-        doc = Document(stem, plain)
-        for ann in anns:
-            doc.add_annotation(ann)
-        docs = [doc]
-    else:
-        docs = [record.to_document() for record in records]
-    imported = 0
-    for doc in docs:
-        if store.find_document(doc.name) is not None:
-            print(f"{doc.name}: already in store, skipped")
-            continue
-        store.marshal_document(doc)
-        if corpus_id is not None:
-            store.add_to_corpus(corpus_id, doc.id)
-        imported += 1
-    print(f"{imported} documents imported from {path}")
-    return imported
+    if records:
+        return [record.to_document() for record in records]
+    # no record elements: the whole file is one document
+    plain, anns = convert(markup)
+    doc = Document(os.path.splitext(os.path.basename(path))[0], plain)
+    for ann in anns:
+        doc.add_annotation(ann)
+    return [doc]
 
 
 def cmd_import(config: PipelineConfig, args) -> int:
+    """Read and parse every input, then write in one transaction."""
     if args.annotations and not args.doc:
         raise ConfigError("--annotations requires --doc NAME")
+    texts, failed = _read_text_documents(args.paths)
+    inline = _read_inline(args.inline, config.record_element) \
+        if args.inline else []
     with _open_store(config) as store:
         corpus_id = None
         if args.corpus:
             corpus_id = store.find_corpus(args.corpus)
             if corpus_id is None:
                 corpus_id = store.create_corpus(args.corpus)
-        failed = 0
-        if args.paths:
-            failed = _import_text_documents(store, args.paths, corpus_id)
+        stored = store.import_documents(texts + inline, corpus_id)
+        for n, (doc, new) in enumerate(zip(texts + inline, stored)):
+            if not new:
+                print(f"{doc.name}: already in store, skipped")
+            elif n < len(texts):
+                print(f"{doc.name}: imported")
         if args.inline:
-            _import_inline(store, args.inline, config.record_element,
-                           corpus_id)
+            print(f"{sum(stored[len(texts):])} documents imported from"
+                  f" {args.inline}")
         if args.annotations:
             doc = _load_document(store, args.doc)
             count = doc_tools.import_external_annotations(
@@ -417,8 +403,12 @@ def cmd_instances(config: PipelineConfig, args) -> int:
             print(f"instance {args.groundtruth}: {args.task}={args.label}")
             return EXIT_OK
         if args.make_set:
-            ids = ([int(x) for x in args.ids.split(",")] if args.ids
-                   else [iid for iid, _ in store.corpus_instances(corpus_id)])
+            try:
+                ids = ([int(x) for x in args.ids.split(",")] if args.ids
+                       else [i for i, _ in store.corpus_instances(corpus_id)])
+            except ValueError as exc:
+                raise ValidationError(f"--ids takes comma-separated"
+                                      f" integers, got {args.ids!r}") from exc
             set_id = store.create_instance_set(
                 corpus_id, args.make_set, args.purpose or "", ids)
             print(f"instance set {set_id}: {len(ids)} members")

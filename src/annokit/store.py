@@ -9,7 +9,9 @@ same DB-API connection surface would do, since the SQL sticks to plain
 DDL/DML plus unique indexes.
 
 Documents flush through a dirty set: marshal writes the document row and
-dirty annotations, checkpoint writes dirty annotations only. Annotations
+dirty annotations, checkpoint writes dirty annotations only. An import
+writes its new documents the way marshal does, and files them in their
+corpus, all in one transaction, so that a rerun converges. Annotations
 enter memory with provisional negative ids and get their durable ids from
 the store on first flush. No other module runs SQL.
 
@@ -388,55 +390,79 @@ class CdmStore:
         return written, remaps
 
     @staticmethod
-    def _adopt_flushed(doc: Document, remaps) -> None:
+    def _adopt_flushed(doc: Document, doc_id: int, remaps) -> None:
         """After commit: take the durable ids and mark the doc clean."""
+        doc.id = doc_id
         for old_id, new_id in remaps:
             doc.index.replace_id(old_id, new_id)
-            doc.index.by_id[new_id].doc_id = doc.id
+            doc.index.by_id[new_id].doc_id = doc_id
         doc.dirty.clear()
+
+    def _write_document(self, doc: Document) -> tuple[int, int, int, list]:
+        """Write the document row (when new or changed) and its dirty
+        annotations in the caller's transaction. Returns (document id,
+        document rows, annotation rows, id remaps to adopt after commit)."""
+        doc_rows = 0
+        current = (doc.name, doc.metadata.get("source", ""),
+                   len(doc.content), canonical_json(doc.metadata),
+                   doc.content)
+        doc_id = doc.id
+        if doc_id is None:
+            doc_id = self._conn.execute(
+                "INSERT INTO documents (name, source, size, data, content)"
+                " VALUES (?, ?, ?, ?, ?)", current).lastrowid
+            doc_rows = 1
+        else:
+            row = self._conn.execute(
+                "SELECT name, source, size, data, content "
+                "FROM documents WHERE id = ?", (doc_id,)
+            ).fetchone()
+            if row is None:
+                raise NotFoundError(f"document id {doc_id} not in store")
+            if tuple(row) != current:
+                self._conn.execute(
+                    "UPDATE documents SET name = ?, source = ?,"
+                    " size = ?, data = ?, content = ?"
+                    " WHERE id = ?", current + (doc_id,),
+                )
+                doc_rows = 1
+        return (doc_id, doc_rows) + self._flush_annotations(doc, doc_id)
 
     def marshal_document(self, doc: Document) -> dict:
         """Persist the document row (when new or changed) and every dirty
         annotation. Returns row counts per table. Atomic: on any failure
         nothing is persisted and the dirty set is retained."""
-        doc_rows = 0
-        source = doc.metadata.get("source", "")
-        data = canonical_json(doc.metadata)
-        # doc.id is assigned only after commit, like the annotation ids.
-        doc_id = doc.id
         with self._conn:
-            if doc_id is None:
-                cur = self._conn.execute(
-                    "INSERT INTO documents "
-                    "(name, source, size, data, content) "
-                    "VALUES (?, ?, ?, ?, ?)",
-                    (doc.name, source, len(doc.content), data,
-                     doc.content),
-                )
-                doc_id = cur.lastrowid
-                doc_rows = 1
-            else:
-                row = self._conn.execute(
-                    "SELECT name, source, size, data, content "
-                    "FROM documents WHERE id = ?", (doc_id,)
-                ).fetchone()
-                if row is None:
-                    raise NotFoundError(
-                        f"document id {doc_id} not in store"
-                    )
-                current = (doc.name, source, len(doc.content),
-                           data, doc.content)
-                if tuple(row) != current:
-                    self._conn.execute(
-                        "UPDATE documents SET name = ?, source = ?,"
-                        " size = ?, data = ?, content = ?"
-                        " WHERE id = ?", current + (doc_id,),
-                    )
-                    doc_rows = 1
-            ann_rows, remaps = self._flush_annotations(doc, doc_id)
-        doc.id = doc_id
-        self._adopt_flushed(doc, remaps)
+            doc_id, doc_rows, ann_rows, remaps = self._write_document(doc)
+        self._adopt_flushed(doc, doc_id, remaps)
         return {"documents": doc_rows, "annotations": ann_rows}
+
+    def import_documents(self, docs, corpus_id: int | None = None
+                         ) -> list[bool]:
+        """In one transaction, store each document whose name the store
+        does not hold yet (of a name given twice, the first copy) and file
+        every document given in corpus ``corpus_id``, new or stored
+        before, so that the rerun of an interrupted import converges.
+        Returns, per document, whether it was stored. Ids are set only
+        after commit."""
+        if corpus_id is not None:
+            self._require_row("corpora", corpus_id)
+        stored, written = [], []
+        with self._conn:
+            for doc in docs:
+                doc_id = self.find_document(doc.name)
+                stored.append(doc_id is None)
+                if doc_id is None:
+                    doc_id, _, _, remaps = self._write_document(doc)
+                    written.append((doc, doc_id, remaps))
+                if corpus_id is not None:
+                    self._conn.execute(
+                        "INSERT OR IGNORE INTO corpora_documents"
+                        " (corpus_id, document_id) VALUES (?, ?)",
+                        (corpus_id, doc_id))
+        for doc, doc_id, remaps in written:
+            self._adopt_flushed(doc, doc_id, remaps)
+        return stored
 
     def checkpoint(self, doc: Document) -> int:
         """Write exactly the dirty annotations; returns how many. The
@@ -445,7 +471,7 @@ class CdmStore:
             raise StoreError("checkpoint before first marshal")
         with self._conn:
             written, remaps = self._flush_annotations(doc, doc.id)
-        self._adopt_flushed(doc, remaps)
+        self._adopt_flushed(doc, doc.id, remaps)
         return written
 
     def unmarshal_document(self, doc_id: int) -> Document:
@@ -534,27 +560,11 @@ class CdmStore:
                 f"corpus name {name!r} already exists"
             ) from exc
 
-    def add_to_corpus(self, corpus_id: int, document_id: int) -> None:
-        self._require_row("corpora", corpus_id)
-        self._require_row("documents", document_id)
-        with self._conn:
-            self._conn.execute(
-                "INSERT OR IGNORE INTO corpora_documents"
-                " (corpus_id, document_id) VALUES (?, ?)",
-                (corpus_id, document_id),
-            )
-
     def find_corpus(self, name: str) -> int | None:
         row = self._conn.execute(
             "SELECT id FROM corpora WHERE name = ?", (name,)
         ).fetchone()
         return row[0] if row else None
-
-    def corpus_document_ids(self, corpus_id: int) -> list[int]:
-        return [r[0] for r in self._conn.execute(
-            "SELECT document_id FROM corpora_documents WHERE corpus_id = ?"
-            " ORDER BY document_id", (corpus_id,)
-        )]
 
     def corpus_instances(self, corpus_id: int) -> list[tuple[int, str]]:
         return [(r[0], r[1]) for r in self._conn.execute(

@@ -4,10 +4,20 @@ Each test gets its own store under tmp_path via a generated config file,
 so commands compose exactly as they would in a shell session.
 """
 
+import contextlib
+import functools
+import itertools
 import os
+import pathlib
+import sqlite3
+import tempfile
+from unittest import mock
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from annokit import cli
 from annokit.cli import main
 from annokit.config import load_config
 from annokit.graphs import (
@@ -37,13 +47,16 @@ TERMS = (
 )
 
 
+def workspace(path):
+    """Workspace: config file pointing at a store inside ``path``."""
+    (path / "annokit.cfg").write_text(f"store_path={path / 'store.db'}\n",
+                                      encoding="utf-8")
+    return path
+
+
 @pytest.fixture
 def ws(tmp_path):
-    """Workspace: config file pointing at a store inside tmp_path."""
-    cfg = tmp_path / "annokit.cfg"
-    cfg.write_text(f"store_path={tmp_path / 'store.db'}\n",
-                   encoding="utf-8")
-    return tmp_path
+    return workspace(tmp_path)
 
 
 def run(ws, *argv):
@@ -204,6 +217,20 @@ class TestImportAndRun:
         assert "doc1.txt: imported" in out
         assert run(ws, "import", path) == 0
         assert "skipped" in capsys.readouterr().out
+
+    def test_repeated_name_keeps_the_first_copy(self, ws, capsys):
+        run(ws, "init")
+        (ws / "a").mkdir()
+        (ws / "b").mkdir()
+        first = write_doc(ws, "a/note.txt", "First copy.")
+        second = write_doc(ws, "b/note.txt", "Second copy.")
+        capsys.readouterr()
+        assert run(ws, "import", first, second, "--corpus", "notes") == 0
+        assert capsys.readouterr().out == (
+            "note.txt: imported\nnote.txt: already in store, skipped\n")
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("note.txt"))
+        assert doc.content == "First copy."
 
     def test_non_utf8_document_is_one_error_line(self, ws, capsys):
         run(ws, "init")
@@ -559,6 +586,30 @@ class TestExportAndInline:
                    "--start", "0", "--end", "15", "--type", "PHI") == 0
         assert "PHI\tHospital" in capsys.readouterr().out
 
+    def test_interrupted_inline_import_converges(self, ws, capsys):
+        run(ws, "init")
+        src = ws / "ward.xml"
+        src.write_text("<ROOT>" + "".join(
+            f'<RECORD ID="r{n}"><TEXT>Note {n}.</TEXT></RECORD>'
+            for n in range(1, 5)) + "</ROOT>", encoding="utf-8")
+        with CdmStore(str(ws / "store.db")) as store:
+            with store.connection:
+                store.connection.execute(
+                    "CREATE TRIGGER refuse BEFORE INSERT ON corpora_documents"
+                    " WHEN (SELECT COUNT(*) FROM corpora_documents) = 2"
+                    " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        argv = ["import", "--inline", str(src), "--corpus", "ward"]
+        assert run(ws, *argv) == 2
+        with CdmStore(str(ws / "store.db")) as store:
+            with store.connection:
+                store.connection.execute("DROP TRIGGER refuse")
+        capsys.readouterr()
+        assert run(ws, *argv) == 0
+        assert capsys.readouterr().out == f"4 documents imported from {src}\n"
+        assert run(ws, "instances", "--corpus", "ward",
+                   "--create-documents") == 0
+        assert capsys.readouterr().out == "4 instances created\n"
+
 
 class TestGraphMine:
     def test_mine_from_file(self, ws, capsys):
@@ -737,6 +788,16 @@ class TestInstances:
         run(ws, "init")
         assert run(ws, "instances", "--corpus", "ghost") == 1
 
+    def test_non_integer_ids_is_one_error_line(self, ws, capsys):
+        run(ws, "init")
+        run(ws, "import", write_doc(ws), "--corpus", "notes")
+        run(ws, "instances", "--corpus", "notes", "--create-documents")
+        capsys.readouterr()
+        assert run(ws, "instances", "--corpus", "notes", "--make-set", "s",
+                   "--ids", "1,x") == 1
+        err = capsys.readouterr().err
+        assert err.count("error:") == 1 and "'1,x'" in err
+
 
 class TestStoreWithoutSchema:
     @pytest.mark.parametrize("argv", [
@@ -777,3 +838,65 @@ def sentence_deps(name, count):
                 f"dependent_start={at + dep_start};"
                 f"dependent_end={at + dep_end}\n")
     return "".join(lines)
+
+
+def session(ws):
+    """Every command of a session over text files and an inline corpus."""
+    paths = [write_doc(ws), write_doc(ws, "doc2.txt", "One line.\nTwo.")]
+    src = ws / "ward.xml"
+    src.write_text("<ROOT>" + "".join(
+        f'<RECORD ID="r{n}"><TEXT>Seen at <PHI TYPE="Hospital">BIDMC'
+        f"</PHI> on day {n}.</TEXT></RECORD>" for n in range(1, 4))
+        + "</ROOT>", encoding="utf-8")
+    return [["init"], ["import", *paths, "--corpus", "notes"],
+            ["import", "--inline", str(src), "--corpus", "notes"],
+            ["run", *paths, "r1", "r2", "r3", "--stages",
+             "tokenize,sentences"],
+            ["instances", "--corpus", "notes", "--create-documents"]]
+
+
+def dump(ws):
+    with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
+        return list(conn.iterdump())
+
+
+@contextlib.contextmanager
+def scratch_workspace():
+    """The ``ws`` fixture's workspace, for use inside a hypothesis test."""
+    with tempfile.TemporaryDirectory() as tmp:
+        yield workspace(pathlib.Path(tmp))
+
+
+@functools.cache
+def clean_dump():
+    with scratch_workspace() as ws:
+        for argv in session(ws):
+            assert run(ws, *argv) == 0
+        return dump(ws)
+
+
+# The session takes about 250 ticks of 20 sqlite VM steps.
+@settings(max_examples=50, deadline=None)
+@given(st.integers(min_value=1, max_value=300))
+def test_session_interrupted_at_any_tick_converges_on_rerun(tick):
+    """Abort the session's sqlite work at one tick and stop there, as a
+    crash would; rerunning every command must leave the store the clean
+    session leaves."""
+    ticks = itertools.count(1)
+    open_store = cli._open_store
+
+    def interrupting(config):
+        store = open_store(config)
+        store.connection.set_progress_handler(
+            lambda: next(ticks) == tick, 20)
+        return store
+
+    with scratch_workspace() as ws:
+        commands = session(ws)
+        with mock.patch.object(cli, "_open_store", interrupting):
+            for argv in commands:
+                if run(ws, *argv) != 0:
+                    break
+        for argv in commands:
+            assert run(ws, *argv) == 0
+        assert dump(ws) == clean_dump()

@@ -412,23 +412,59 @@ def test_query_by_value_is_case_sensitive_and_tolerant():
     assert len(store.query_by_value("CUI", "C0018787")) == 1
 
 
+def corpus_documents(store, corpus_id):
+    return [r[0] for r in store.connection.execute(
+        "SELECT document_id FROM corpora_documents WHERE corpus_id = ?"
+        " ORDER BY document_id", (corpus_id,))]
+
+
 def test_corpus_membership():
     store = fresh_store()
     corpus = store.create_corpus("notes", "test corpus")
     d1 = Document("m1", "aa")
     d2 = Document("m2", "bb")
-    store.marshal_document(d1)
-    store.marshal_document(d2)
-    store.add_to_corpus(corpus, d1.id)
-    store.add_to_corpus(corpus, d2.id)
-    store.add_to_corpus(corpus, d1.id)  # repeat is a no-op
-    assert store.corpus_document_ids(corpus) == sorted([d1.id, d2.id])
+    assert store.import_documents([d1, d2], corpus) == [True, True]
+    # filing a stored document again is a no-op
+    assert store.import_documents([Document("m1", "aa")], corpus) == [False]
+    assert corpus_documents(store, corpus) == [d1.id, d2.id]
+    # a stored document is filed in another corpus as it stands
+    other = store.create_corpus("other")
+    assert store.import_documents([Document("m2", "new")], other) == [False]
+    assert corpus_documents(store, other) == [d2.id]
+    assert store.unmarshal_document(d2.id).content == "bb"
     with pytest.raises(ValidationError):
         store.create_corpus("notes")
     with pytest.raises(DanglingReferenceError):
-        store.add_to_corpus(corpus, 12345)
-    with pytest.raises(DanglingReferenceError):
-        store.add_to_corpus(999, d1.id)
+        store.import_documents([Document("m3", "cc")], 999)
+    assert store.find_document("m3") is None
+
+
+def test_import_stores_the_first_copy_of_a_repeated_name():
+    store = fresh_store()
+    first, second = Document("twin", "first"), Document("twin", "second")
+    first.annotate(Interval(0, 5), "token", "first")
+    second.annotate(Interval(0, 6), "token", "second")
+    assert store.import_documents([first, second]) == [True, False]
+    assert second.id is None and second.dirty
+    twin = store.unmarshal_document(store.find_document("twin"))
+    assert (twin.id, twin.content) == (first.id, "first")
+    assert [a.value for a in twin.annotations()] == ["first"]
+    assert not first.dirty
+
+
+def test_import_is_all_or_nothing():
+    store = fresh_store()
+    corpus = store.create_corpus("c")
+    docs = [Document(f"d{n}", "text") for n in range(3)]
+    docs[2].annotate(Interval(0, 4), "token", "text")
+    refuse_annotation_inserts(store)
+    with pytest.raises(StoreError, match="refused"):
+        store.import_documents(docs, corpus)
+    assert store.list_documents() == [] == corpus_documents(store, corpus)
+    assert [doc.id for doc in docs] == [None, None, None]
+    allow_annotation_inserts(store)
+    assert store.import_documents(docs, corpus) == [True, True, True]
+    assert corpus_documents(store, corpus) == [doc.id for doc in docs]
 
 
 def test_instance_kind_rules():
@@ -464,10 +500,8 @@ def test_create_document_instances_skips_documents_that_have_one():
     corpus = store.create_corpus("c")
     other = store.create_corpus("other")
     docs = [Document(f"d{n}", "text") for n in range(3)]
-    for doc in docs:
-        store.marshal_document(doc)
-        store.add_to_corpus(corpus, doc.id)
-    store.add_to_corpus(other, docs[0].id)
+    store.import_documents(docs, corpus)
+    store.import_documents(docs[:1], other)
     store.create_instance(corpus, "document_set", [docs[0].id])
     store.create_instance(corpus, "document", [docs[1].id])
     store.create_instance(other, "document", [docs[2].id])
@@ -523,9 +557,9 @@ def test_groundtruth_upserts():
     ("unmarshal_document", (1,)),
     ("query_by_value", ("token", "x")),
     ("find_corpus", ("x",)),
-    ("corpus_document_ids", (1,)),
+    ("marshal_document", (Document("x", ""),)),
     ("corpus_instances", (1,)),
-    ("add_to_corpus", (1, 1)),
+    ("import_documents", ([Document("x", "")], 1)),
     ("create_instance", (1, "document", [1])),
     ("instance_set_members", (1,)),
     ("set_groundtruth", (1, "task", "label")),
