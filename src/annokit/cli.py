@@ -41,13 +41,14 @@ EXIT_RELATION = 4
 EXIT_CONVERSION = 5
 
 # each stage in execution order (requests are reordered to match) with
-# the annotation types it writes; it has run on a document holding any
+# the annotation types it writes (it has run on a document holding any)
+# and the stages whose output it reads
 STAGES = {
-    "tokenize": ("token",),
-    "sentences": ("sentence",),
-    "sections": ("section", "template"),
-    "concepts": ("CUI", "TUI", "SP-POS"),
-    "graphs": (),
+    "tokenize": (("token",), ()),
+    "sentences": (("sentence",), ()),
+    "sections": (("section", "template"), ()),
+    "concepts": (("CUI", "TUI", "SP-POS"), ("tokenize", "sentences")),
+    "graphs": ((), ("concepts",)),
 }
 
 TABLE_HEADER = "Start\tEnd\tAnnotation Type\tAnnotation Attribute"
@@ -177,7 +178,7 @@ class _StageResources:
 
 
 def _has_run(doc: Document, stage: str) -> bool:
-    return any(t in doc.index.by_type for t in STAGES[stage])
+    return any(t in doc.index.by_type for t in STAGES[stage][0])
 
 
 def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
@@ -186,9 +187,15 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
     The graphs stage writes no annotations: it persists the graphs it
     builds unless the store holds the first of them by name (their names
     are unique per document and sentence, and a document's graphs are
-    written all or nothing). Returns the number of graphs persisted."""
+    written all or nothing). A stage whose input stage has neither run
+    nor been requested is a gap. Returns the number of graphs persisted."""
     if _has_run(doc, stage):
         return 0
+    for needed in STAGES[stage][1]:
+        if not _has_run(doc, needed) and needed not in stages:
+            raise PrerequisiteGapError(
+                f"{doc.name}: {stage} reads the {needed} stage's output;"
+                f" run the {needed} stage first")
     if stage == "tokenize":
         for ann in doc_tools.tokenize(doc):
             doc.add_annotation(ann)
@@ -199,19 +206,11 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
         section_tools.detect_sections(doc, resources.guideline)
         section_tools.match_templates(doc, resources.guideline)
     elif stage == "concepts":
-        if not _has_run(doc, "tokenize") and "tokenize" not in stages:
-            raise PrerequisiteGapError(
-                f"{doc.name}: concepts requires tokens;"
-                " run the tokenize stage first")
         for sentence in doc.annotations("sentence"):
             concept_tools.annotate_concepts(doc, sentence, resources.lexicon)
         concept_tools.annotate_tuis(doc, resources.lexicon)
         concept_tools.annotate_sp_pos(doc, resources.lexicon)
     elif stage == "graphs":
-        if not _has_run(doc, "concepts") and "concepts" not in stages:
-            raise PrerequisiteGapError(
-                f"{doc.name}: graphs requires concepts;"
-                " run the concepts stage first")
         if "dependency" not in doc.index.by_type:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires imported dependency"

@@ -488,10 +488,14 @@ def export_annotations(doc: Document, dest,
 
 
 def import_external_annotations(doc: Document, src) -> int:
-    """Attach annotations from the tab-separated line format.
+    """Attach annotations from the tab-separated line format, and return
+    how many were added.
 
     Every line is validated before anything is applied; any bad line
-    aborts the whole import with the offending 1-based line numbers.
+    aborts the whole import with the offending 1-based line numbers. A
+    line equal to an annotation the document held before the call (same
+    span, type, value, attributes and provenance) is skipped, so a rerun
+    adds nothing; repeated lines within one file are all added.
     """
     parsed = []
     bad = []
@@ -521,6 +525,9 @@ def import_external_annotations(doc: Document, src) -> int:
                                          ", ".join(map(str, bad))),
             line_numbers=tuple(bad),
         )
-    for span, type_name, value, attributes, provenance in parsed:
+    new = [entry for entry in parsed if not any(
+        (held.type_name, held.value, held.attributes, held.provenance)
+        == entry[1:] for held in doc.index.tree.find(entry[0]))]
+    for span, type_name, value, attributes, provenance in new:
         doc.annotate(span, type_name, value, attributes, provenance)
-    return len(parsed)
+    return len(new)

@@ -25,6 +25,7 @@ Support is anti-monotone, so only the parent's graphs are visited.
 
 import itertools
 import logging
+from bisect import bisect_left, bisect_right
 from collections import namedtuple
 from dataclasses import dataclass, field
 
@@ -105,40 +106,34 @@ def build_dependency_graph(doc: Document, sentence: Annotation,
     are duplicate triples. Dependencies whose token spans are unknown in
     this sentence are skipped and counted on ``skipped_dependencies``.
     """
+    # Every node is one key (start, end, kind, order, label): kind 0 for
+    # a concept, ordered among the concepts by span, and kind 1 for a
+    # token no concept claims, ordered by token index. A node's number is
+    # its key's place in sorted order.
     tokens = doc.annotations_within(sentence.span, "token")
-    ordered_concepts = sorted(concepts,
-                              key=lambda c: (c.span.start, c.span.end))
-
-    covered: dict[int, int] = {}  # token index -> concept seed index
-    seeds = []
-    for concept in ordered_concepts:
-        token_indexes = [
-            n for n, t in enumerate(tokens)
-            if t.span.start >= concept.span.start
-            and t.span.end <= concept.span.end
-        ]
-        if not token_indexes:
-            continue
-        seed_index = len(seeds)
-        seeds.append((concept.span, concept.value))
-        for n in token_indexes:
-            covered.setdefault(n, seed_index)
-
-    token_seed: dict[tuple[int, int], int] = {}
+    starts = [token.span.start for token in tokens]  # ascending
+    owner = {}  # token index -> key of the first concept covering it
+    keys = []
+    for order, concept in enumerate(sorted(
+            concepts, key=lambda c: (c.span.start, c.span.end))):
+        start, end = concept.span.start, concept.span.end
+        inside = [n for n in range(bisect_left(starts, start),
+                                   bisect_right(starts, end))
+                  if tokens[n].span.end <= end]
+        if inside:
+            keys.append((start, end, 0, order, concept.value))
+            for n in inside:
+                owner.setdefault(n, keys[-1])
     for n, token in enumerate(tokens):
-        key = (token.span.start, token.span.end)
-        if n in covered:
-            token_seed[key] = covered[n]
-        else:
-            token_seed[key] = len(seeds)
-            surface = doc.content[token.span.start:token.span.end]
-            seeds.append((token.span, surface.lower()))
-
-    order = sorted(range(len(seeds)),
-                   key=lambda k: (seeds[k][0].start, seeds[k][0].end, k))
-    renumber = {old: new for new, old in enumerate(order)}
-    nodes = [seeds[old][1] for old in order]
-    node_of = {span: renumber[seed] for span, seed in token_seed.items()}
+        if n not in owner:
+            start, end = token.span.start, token.span.end
+            owner[n] = (start, end, 1, n, doc.content[start:end].lower())
+            keys.append(owner[n])
+    keys.sort()
+    number = {key: place for place, key in enumerate(keys)}
+    nodes = [key[-1] for key in keys]
+    node_of = {(token.span.start, token.span.end): number[owner[n]]
+               for n, token in enumerate(tokens)}
 
     edges = []
     seen = set()

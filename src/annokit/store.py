@@ -15,11 +15,11 @@ corpus, all in one transaction, so that a rerun converges. Annotations
 enter memory with provisional negative ids and get their durable ids from
 the store on first flush. No other module runs SQL.
 
-A store keeps no state but its connection. Each flush and each unmarshal
-resolves annotation type names against ``annotation_types`` within its
-own call, so no type id outlives the transaction that made it. Each
-table's columns are declared once, in its DDL; the check that an existing
-store has the expected columns reads them back from that DDL.
+A store keeps no state but its connection. Each write transaction and
+each unmarshal reads ``annotation_types`` once, within its own call, so
+no type id outlives the transaction that made it. Each table's columns
+are declared once, in its DDL; the check that an existing store has the
+expected columns reads them back from that DDL.
 """
 
 import contextlib
@@ -337,16 +337,20 @@ class CdmStore:
             payload = ann.attributes
         return canonical_json(payload)
 
-    def _flush_annotations(self, doc: Document,
-                           doc_id: int) -> tuple[int, list]:
+    def _type_ids(self) -> dict[str, int]:
+        return dict(self._conn.execute(
+            "SELECT name, id FROM annotation_types"))
+
+    def _flush_annotations(self, doc: Document, doc_id: int,
+                           type_ids: dict[str, int]) -> tuple[int, list]:
         """Write dirty annotations of document ``doc_id`` inside the
         caller's transaction.
 
         Returns (rows written, deferred id remaps). Remaps are applied by
         the caller only after commit so a rollback leaves the in-memory
-        document consistent with the store. Type ids are resolved here,
-        in the same transaction, and kept nowhere else, so a rollback
-        cannot leave an id behind whose row it took away.
+        document consistent with the store. ``type_ids`` maps type names
+        to ids, read in the caller's transaction and kept nowhere else,
+        so a rollback cannot leave an id behind whose row it took away.
         """
         written = 0
         remaps = []
@@ -354,8 +358,6 @@ class CdmStore:
         # durable id of the document, so the provisional ids they replace
         # keep their places in the index (see AnnotationIndex.replace_id).
         pending = sorted(doc.index.by_id[ann_id] for ann_id in doc.dirty)
-        type_ids = dict(self._conn.execute(
-            "SELECT name, id FROM annotation_types"))
         for name in dict.fromkeys(ann.type_name for ann in pending):
             if name not in type_ids:
                 type_ids[name] = self._conn.execute(
@@ -398,7 +400,8 @@ class CdmStore:
             doc.index.by_id[new_id].doc_id = doc_id
         doc.dirty.clear()
 
-    def _write_document(self, doc: Document) -> tuple[int, int, int, list]:
+    def _write_document(self, doc: Document, type_ids: dict[str, int]
+                        ) -> tuple[int, int, int, list]:
         """Write the document row (when new or changed) and its dirty
         annotations in the caller's transaction. Returns (document id,
         document rows, annotation rows, id remaps to adopt after commit)."""
@@ -426,14 +429,16 @@ class CdmStore:
                     " WHERE id = ?", current + (doc_id,),
                 )
                 doc_rows = 1
-        return (doc_id, doc_rows) + self._flush_annotations(doc, doc_id)
+        return (doc_id, doc_rows) + self._flush_annotations(doc, doc_id,
+                                                            type_ids)
 
     def marshal_document(self, doc: Document) -> dict:
         """Persist the document row (when new or changed) and every dirty
         annotation. Returns row counts per table. Atomic: on any failure
         nothing is persisted and the dirty set is retained."""
         with self._conn:
-            doc_id, doc_rows, ann_rows, remaps = self._write_document(doc)
+            doc_id, doc_rows, ann_rows, remaps = self._write_document(
+                doc, self._type_ids())
         self._adopt_flushed(doc, doc_id, remaps)
         return {"documents": doc_rows, "annotations": ann_rows}
 
@@ -449,11 +454,13 @@ class CdmStore:
             self._require_row("corpora", corpus_id)
         stored, written = [], []
         with self._conn:
+            type_ids = self._type_ids() if docs else {}
             for doc in docs:
                 doc_id = self.find_document(doc.name)
                 stored.append(doc_id is None)
                 if doc_id is None:
-                    doc_id, _, _, remaps = self._write_document(doc)
+                    doc_id, _, _, remaps = self._write_document(doc,
+                                                                type_ids)
                     written.append((doc, doc_id, remaps))
                 if corpus_id is not None:
                     self._conn.execute(
@@ -470,7 +477,8 @@ class CdmStore:
         if doc.id is None:
             raise StoreError("checkpoint before first marshal")
         with self._conn:
-            written, remaps = self._flush_annotations(doc, doc.id)
+            written, remaps = self._flush_annotations(doc, doc.id,
+                                                      self._type_ids())
         self._adopt_flushed(doc, doc.id, remaps)
         return written
 
@@ -513,11 +521,15 @@ class CdmStore:
                 ))
             return doc
 
-    def find_document(self, name: str) -> int | None:
+    def _find(self, table: str, name: str) -> int | None:
+        """The id of the first row of ``table`` named ``name``."""
         row = self._conn.execute(
-            "SELECT id FROM documents WHERE name = ?", (name,)
+            f'SELECT id FROM "{table}" WHERE name = ?', (name,)
         ).fetchone()
         return None if row is None else row[0]
+
+    def find_document(self, name: str) -> int | None:
+        return self._find("documents", name)
 
     def list_documents(self) -> list[tuple[int, str]]:
         return list(self._conn.execute(
@@ -561,10 +573,7 @@ class CdmStore:
             ) from exc
 
     def find_corpus(self, name: str) -> int | None:
-        row = self._conn.execute(
-            "SELECT id FROM corpora WHERE name = ?", (name,)
-        ).fetchone()
-        return row[0] if row else None
+        return self._find("corpora", name)
 
     def corpus_instances(self, corpus_id: int) -> list[tuple[int, str]]:
         return [(r[0], r[1]) for r in self._conn.execute(
@@ -607,19 +616,20 @@ class CdmStore:
         for cid in content_ids:
             self._require_row(table, cid)
         with self._conn:
-            cur = self._conn.execute(
-                "INSERT INTO instances (corpus_id, kind, data)"
-                " VALUES (?, ?, '{}')", (corpus_id, kind),
-            )
-            instance_id = cur.lastrowid
-            self._conn.executemany(
-                "INSERT INTO instances_content"
-                " (instance_id, content_kind, content_id)"
-                " VALUES (?, ?, ?)",
-                [(instance_id, content_kind, cid)
-                 for cid in content_ids],
-            )
-            return instance_id
+            return self._insert_instance(corpus_id, kind, content_kind,
+                                         content_ids)
+
+    def _insert_instance(self, corpus_id: int, kind: str,
+                         content_kind: str, content_ids) -> int:
+        """An instances row and its content rows, in the open transaction."""
+        instance_id = self._conn.execute(
+            "INSERT INTO instances (corpus_id, kind, data)"
+            " VALUES (?, ?, '{}')", (corpus_id, kind)).lastrowid
+        self._conn.executemany(
+            "INSERT INTO instances_content"
+            " (instance_id, content_kind, content_id) VALUES (?, ?, ?)",
+            [(instance_id, content_kind, cid) for cid in content_ids])
+        return instance_id
 
     def create_document_instances(self, corpus_id: int) -> int:
         """A ``document`` instance for each document of the corpus that has
@@ -635,14 +645,8 @@ class CdmStore:
                 "  WHERE i.corpus_id = ? AND i.kind = 'document')"
                 " ORDER BY document_id", (corpus_id, corpus_id))]
             for document_id in missing:
-                cur = self._conn.execute(
-                    "INSERT INTO instances (corpus_id, kind, data)"
-                    " VALUES (?, 'document', '{}')", (corpus_id,))
-                self._conn.execute(
-                    "INSERT INTO instances_content"
-                    " (instance_id, content_kind, content_id)"
-                    " VALUES (?, 'document', ?)",
-                    (cur.lastrowid, document_id))
+                self._insert_instance(corpus_id, "document", "document",
+                                      [document_id])
         return len(missing)
 
     def create_instance_set(self, corpus_id: int, name: str, purpose: str,
@@ -676,18 +680,12 @@ class CdmStore:
         """Upsert on (instance_id, task): the latest label wins."""
         self._require_row("instances", instance_id)
         with self._conn:
-            cur = self._conn.execute(
-                "UPDATE groundtruth SET label = ?, data = ?"
-                " WHERE instance_id = ? AND task = ?",
-                (label, canonical_json(data), instance_id, task),
-            )
-            if cur.rowcount == 0:
-                self._conn.execute(
-                    "INSERT INTO groundtruth"
-                    " (instance_id, task, label, data)"
-                    " VALUES (?, ?, ?, ?)",
-                    (instance_id, task, label, canonical_json(data)),
-                )
+            self._conn.execute(
+                "INSERT INTO groundtruth (instance_id, task, label, data)"
+                " VALUES (?, ?, ?, ?) ON CONFLICT (instance_id, task)"
+                " DO UPDATE SET label = excluded.label,"
+                " data = excluded.data",
+                (instance_id, task, label, canonical_json(data)))
 
     def groundtruth_for(self, instance_id: int) -> list[tuple[str, str]]:
         return [(r[0], r[1]) for r in self._conn.execute(
@@ -718,10 +716,7 @@ class CdmStore:
                     for name, graph_type, links in graphs]
 
     def find_graph(self, name: str) -> int | None:
-        row = self._conn.execute(
-            "SELECT id FROM graphs WHERE name = ?", (name,)
-        ).fetchone()
-        return None if row is None else row[0]
+        return self._find("graphs", name)
 
     def list_graphs(self, graph_type: str | None = None
                     ) -> list[tuple[int, str, str]]:

@@ -285,6 +285,25 @@ class TestImportAndRun:
         assert run(ws, "run", path, "--stages", "concepts") == 3
         assert "tokenize" in capsys.readouterr().err
 
+    def test_concepts_without_sentences_is_a_gap(self, ws, capsys):
+        # SP-POS needs tokens only: concepts run without sentences would
+        # write it, count as run, and never tag a CUI on a later run
+        run(ws, "init")
+        terms = ws / "terms.tsv"
+        terms.write_text(TERMS, encoding="utf-8")
+        pos = ws / "pos.tsv"
+        pos.write_text("express\tVB\n", encoding="utf-8")
+        add_cfg(ws, lexicon_terms=str(terms), lexicon_pos=str(pos))
+        path = write_doc(ws)
+        assert run(ws, "run", path, "--stages", "tokenize,concepts") == 3
+        assert "sentences" in capsys.readouterr().err
+        assert run(ws, "run", path, "--stages", "sentences,concepts") == 0
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("doc1.txt"))
+        assert {a.value for a in doc.annotations("CUI")} == {
+            "C0054946", "C0079744", "C0007634"}
+        assert [a.value for a in doc.annotations("SP-POS")] == ["VB"]
+
     def test_unknown_stage(self, ws, capsys):
         run(ws, "init")
         path = write_doc(ws)
@@ -337,6 +356,22 @@ class TestImportAndRun:
         ).fetchone()[0]
         assert count == 2
         store.close()
+
+    def test_annotations_import_rerun_adds_nothing(self, ws, capsys):
+        run(ws, "init")
+        run(ws, "import", write_doc(ws))
+        deps = ws / "deps.tsv"
+        deps.write_text(DEPS, encoding="utf-8")
+        argv = ["import", "--annotations", str(deps), "--doc", "doc1.txt"]
+        capsys.readouterr()
+        assert run(ws, *argv) == 0
+        assert capsys.readouterr().out == \
+            "2 annotations imported into doc1.txt\n"
+        assert run(ws, *argv) == 0
+        assert capsys.readouterr().out == \
+            "0 annotations imported into doc1.txt\n"
+        assert run(ws, "export", "--doc", "doc1.txt") == 0
+        assert capsys.readouterr().out.count("\tdependency\t") == 2
 
     def test_graphs_stage_is_all_or_nothing(self, ws, capsys):
         run(ws, "init")
@@ -841,18 +876,28 @@ def sentence_deps(name, count):
 
 
 def session(ws):
-    """Every command of a session over text files and an inline corpus."""
+    """Every command of a session over text files and an inline corpus,
+    from import through the concepts and graphs stages to mining."""
     paths = [write_doc(ws), write_doc(ws, "doc2.txt", "One line.\nTwo.")]
     src = ws / "ward.xml"
     src.write_text("<ROOT>" + "".join(
         f'<RECORD ID="r{n}"><TEXT>Seen at <PHI TYPE="Hospital">BIDMC'
         f"</PHI> on day {n}.</TEXT></RECORD>" for n in range(1, 4))
         + "</ROOT>", encoding="utf-8")
+    terms = ws / "terms.tsv"
+    terms.write_text(TERMS, encoding="utf-8")
+    add_cfg(ws, lexicon_terms=str(terms))
+    deps = ws / "deps.tsv"
+    deps.write_text(sentence_deps("doc1.txt", 1), encoding="utf-8")
+    documents = [*paths, "r1", "r2", "r3"]
     return [["init"], ["import", *paths, "--corpus", "notes"],
             ["import", "--inline", str(src), "--corpus", "notes"],
-            ["run", *paths, "r1", "r2", "r3", "--stages",
-             "tokenize,sentences"],
-            ["instances", "--corpus", "notes", "--create-documents"]]
+            ["run", *documents, "--stages", "tokenize,sentences"],
+            ["instances", "--corpus", "notes", "--create-documents"],
+            ["run", *documents, "--stages", "tokenize,sentences,concepts"],
+            ["import", "--annotations", str(deps), "--doc", "doc1.txt"],
+            ["run", paths[0], "--stages", "graphs"],
+            ["graph-mine", "--min-support", "1"]]
 
 
 def dump(ws):
@@ -875,9 +920,9 @@ def clean_dump():
         return dump(ws)
 
 
-# The session takes about 250 ticks of 20 sqlite VM steps.
+# The session takes about 420 ticks of 20 sqlite VM steps.
 @settings(max_examples=50, deadline=None)
-@given(st.integers(min_value=1, max_value=300))
+@given(st.integers(min_value=1, max_value=450))
 def test_session_interrupted_at_any_tick_converges_on_rerun(tick):
     """Abort the session's sqlite work at one tick and stop there, as a
     crash would; rerunning every command must leave the store the clean

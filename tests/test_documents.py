@@ -369,6 +369,19 @@ def test_import_rejects_bad_lines_wholesale():
     assert doc.annotations() == []
 
 
+def test_import_skips_lines_the_document_held_before():
+    doc = make_doc("short text", name="d")
+    doc.annotate(Interval(0, 5), "token", "short", {"k": "v"}, "ext")
+    data = ("d\t0\t5\ttoken\tshort\tk=v;_provenance=ext\n"  # held
+            "d\t0\t5\ttoken\tshort\tk=v\n"  # other provenance
+            + "d\t6\t10\ttoken\ttext\t\n" * 2)  # repeated in the file
+    assert import_external_annotations(doc, io.StringIO(data)) == 3
+    assert import_external_annotations(doc, io.StringIO(data)) == 0
+    assert [(a.span, a.provenance) for a in doc.annotations()] == [
+        (Interval(0, 5), "ext"), (Interval(0, 5), ""),
+        (Interval(6, 10), ""), (Interval(6, 10), "")]
+
+
 def test_import_accepts_comments_and_blanks():
     doc = make_doc("short text", name="d")
     data = "# c\n\nd\t0\t5\ttoken\tshort\tk=v;_provenance=ext\n"

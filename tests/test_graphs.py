@@ -11,6 +11,7 @@ import itertools
 import os
 import random
 import tempfile
+import time
 
 import pytest
 from hypothesis import example, given, settings
@@ -187,6 +188,34 @@ class TestBuild:
             LabeledGraph(nodes=["a", "b"], edges=[(0, 0, "loop")])
         with pytest.raises(ValidationError):
             LabeledGraph(nodes=["a"], edges=[(0, 1, "oob")])
+
+
+def test_build_time_grows_linearly_with_sentence_length():
+    # One long unpunctuated line is one sentence; every "high fever" is
+    # one concept over two tokens, as the tagger keeps it. Linear
+    # building takes about 8 times as long for 8 times the tokens, a scan
+    # of the sentence per concept about 64 times. The two sizes take
+    # turns, so that a slow spell of the machine slows both.
+    def sentence(n):
+        doc = Document("d", "high fever " * (n // 2))
+        sent = doc.annotate(Interval(0, len(doc.content)), "sentence")
+        concepts = []
+        for at in range(0, len(doc.content), 11):
+            doc.annotate(Interval(at, at + 4), "token")
+            doc.annotate(Interval(at + 5, at + 10), "token")
+            concepts.append(doc.annotate(Interval(at, at + 10), "CUI",
+                                         value="C2"))
+        return doc, sent, [], concepts
+
+    cases = {n: sentence(n) for n in (2_000, 16_000)}
+    best = dict.fromkeys(cases, float("inf"))
+    for _ in range(3):
+        for n, args in cases.items():
+            started = time.perf_counter()
+            graph = build_dependency_graph(*args)
+            best[n] = min(best[n], time.perf_counter() - started)
+            assert graph.nodes == ["C2"] * (n // 2)
+    assert best[16_000] < 24 * best[2_000]
 
 
 def brute_force_embeddings(host, pattern):
