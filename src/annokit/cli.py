@@ -360,15 +360,22 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
             code = graph_tools.canonical_code(result.pattern)
             print(f"pattern {n}: support={result.support}"
                   f" graphs=[{members}] {code}")
-        if store is not None and not args.no_persist:
-            graph_tools.persist_mining_results(store, results)
-            embeddings = sum(len(found) for result in results
-                             for found in result.embeddings)
-            print(f"persisted {len(results)} patterns,"
-                  f" {embeddings} embeddings")
-        if args.out:
-            graph_tools.write_graph_file(
-                [r.pattern for r in results], args.out)
+        # Opened before the store write, so that an unwritable file fails
+        # first, and without truncating, so that a failed store write
+        # leaves it as it was; written after, as it shows the stored ids.
+        with (doc_tools.open_text(args.out, "a") if args.out
+              else nullcontext()) as out:
+            if store is not None and not args.no_persist:
+                graph_tools.persist_mining_results(store, results)
+                embeddings = sum(len(found) for result in results
+                                 for found in result.embeddings)
+                print(f"persisted {len(results)} patterns,"
+                      f" {embeddings} embeddings")
+            if out is not None:
+                if out.seekable():
+                    out.truncate(0)
+                graph_tools.write_graph_file(
+                    [r.pattern for r in results], out)
     return EXIT_OK
 
 

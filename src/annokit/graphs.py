@@ -21,6 +21,11 @@ a candidate's are its parent's extended by the candidate's new edge, so
 support is counted without searching again (the occurrence lists of
 gSpan, Yan & Han, ICDM 2002, and GASTON, Nijssen & Kok, KDD 2004).
 Support is anti-monotone, so only the parent's graphs are visited.
+Likewise a graph that embeds a pattern holds each of its (source label,
+edge label, target label) triples, so patterns grow only by triples that
+at least ``min_support`` graphs hold, and a candidate's new triple rules
+out the parent's graphs that lack it before any extension step (the
+level-1 pruning of FSG, Kuramochi & Karypis, ICDM 2001, and of gSpan).
 """
 
 import itertools
@@ -298,7 +303,9 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     completeness, and lets a candidate's support be counted among the
     graphs of the pattern it grew from alone, by extending the parent's
     embeddings there; the count stops once too few graphs are left to
-    reach min_support. Every embedding of each result is kept on it.
+    reach min_support. Edges grow only by triples held by at least
+    min_support graphs, and only in the graphs that hold the new one.
+    Every embedding of each result is kept on it.
     Output order: node count, then canonical code.
     """
     if min_support < 1:
@@ -315,8 +322,12 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     ids = [g.id if g.id is not None else n for n, g in enumerate(graphs)]
     hosts = [_HostIndex(g) for g in graphs]
     labels = sorted({label for g in graphs for label in g.nodes})
-    triples = sorted({(g.nodes[s], l, g.nodes[d])
-                      for g in graphs for s, d, l in g.edges})
+    holders = {}  # (source label, edge label, target label) -> graphs
+    for n, g in enumerate(graphs):
+        for s, d, l in g.edges:
+            holders.setdefault((g.nodes[s], l, g.nodes[d]), set()).add(n)
+    triples = sorted(triple for triple, held in holders.items()
+                     if len(held) >= min_support)
 
     def found(pattern, members):
         """The result for a pattern and its supporting graphs, each given
@@ -342,14 +353,16 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
                 code = canonical_code(candidate)
                 if code in mined:
                     continue
-                edge = candidate.edges[-1]
-                label = (candidate.nodes[-1]
-                         if len(candidate.nodes) > len(pattern.nodes)
-                         else None)
+                edge = src, dst, edge_label = candidate.edges[-1]
+                nodes = candidate.nodes
+                label = nodes[-1] if len(nodes) > len(pattern.nodes) else None
+                # A graph that embeds the candidate holds its new triple.
+                held = holders[(nodes[src], edge_label, nodes[dst])]
                 members = []
                 spare = len(parent_members) - min_support
                 for n, parent in parent_members:
-                    embeddings = _step(hosts[n], parent, edge, label)
+                    embeddings = n in held and _step(hosts[n], parent, edge,
+                                                     label)
                     if embeddings:
                         members.append((n, embeddings))
                     else:
@@ -451,7 +464,7 @@ def load_graph(store: CdmStore, graph_id: int) -> LabeledGraph:
 
 
 def load_graphs(store: CdmStore, graph_type: str) -> list[LabeledGraph]:
-    """Every stored graph of one type, ordered by id, read in one query."""
+    """Every stored graph of one type, ordered by id."""
     return [_graph_from_links(graph_id, name, graph_type, rows)
             for graph_id, name, rows in store.graphs_of_type(graph_type)]
 

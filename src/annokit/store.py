@@ -25,8 +25,8 @@ expected columns reads them back from that DDL.
 import contextlib
 import functools
 import gc
-import itertools
 import json
+import operator
 import sqlite3
 from collections import namedtuple
 
@@ -201,6 +201,23 @@ _raw_decode = json.JSONDecoder().raw_decode
 def canonical_json(mapping) -> str:
     """Byte-stable serialization of a key->text map."""
     return _encode(mapping or {})
+
+
+@functools.cache
+def _node_mapping_format(size: int):
+    """A %-format and an item getter that render an embedding of ``size``
+    integer host nodes as ``canonical_json`` renders ``{str(k): str(v)
+    for k, v in enumerate(embedding)}``: keys in string order, in which
+    ``"10"`` precedes ``"2"``. Of one node, the getter returns the node
+    itself, which a one-field format takes as well."""
+    order = sorted(range(size), key=str)
+    return ("{" + ",".join(f'"{k}":"%d"' for k in order) + "}",
+            operator.itemgetter(*order) if order else lambda _: ())
+
+
+def _node_mapping(embedding) -> str:
+    form, pick = _node_mapping_format(len(embedding))
+    return form % pick(embedding)
 
 
 def _loads(text):
@@ -476,6 +493,8 @@ class CdmStore:
         document row is marshal's business, not checkpoint's."""
         if doc.id is None:
             raise StoreError("checkpoint before first marshal")
+        if not doc.dirty:
+            return 0
         with self._conn:
             written, remaps = self._flush_annotations(doc, doc.id,
                                                       self._type_ids())
@@ -743,25 +762,30 @@ class CdmStore:
 
     def graphs_of_type(self, graph_type: str) -> list[tuple[int, str, list]]:
         """Every graph of one type as (id, name, linkage rows), ordered by
-        id, its rows in insertion order, read in one query. A graph
-        without linkage rows comes with an empty list."""
-        rows = self._conn.execute(
-            "SELECT g.id, g.name, l.node1, l.node2, l.edge_label,"
-            " l.node1_label, l.node2_label"
-            " FROM graphs AS g LEFT JOIN linkage_graph AS l"
-            " ON l.graph_id = g.id"
-            " WHERE g.type = ? ORDER BY g.id, l.rowid", (graph_type,))
-        return [(graph_id, name,
-                 [row[2:] for row in group if row[2] is not None])
-                for (graph_id, name), group in itertools.groupby(
-                    rows, key=lambda row: row[:2])]
+        id, its rows in insertion order. A graph without linkage rows
+        comes with an empty list. Two scans, neither of which sorts: the
+        graphs by primary key, and the linkage rows in rowid order, each
+        joined to its graph by primary key and grouped by graph id."""
+        heads = self._conn.execute(
+            "SELECT id, name FROM graphs WHERE type = ? ORDER BY id",
+            (graph_type,)).fetchall()
+        links = {graph_id: [] for graph_id, _ in heads}
+        for row in self._conn.execute(
+                "SELECT l.graph_id, l.node1, l.node2, l.edge_label,"
+                " l.node1_label, l.node2_label"
+                " FROM linkage_graph AS l JOIN graphs AS g"
+                " ON g.id = l.graph_id"
+                " WHERE g.type = ? ORDER BY l.rowid", (graph_type,)):
+            links[row[0]].append(row[1:])
+        return [(graph_id, name, links[graph_id]) for graph_id, name in heads]
 
     def create_mining_results(self, patterns) -> list[tuple[int, int]]:
         """In one transaction, in place of the mining results stored
         before: per pattern (name, graph_type, links, support, data,
         occurrences) a graph plus its sig_subgraph row, and an lg_sigsub
         row per embedding in occurrences, (stored graph id, embeddings)
-        pairs, an embedding being a tuple of host nodes by pattern node.
+        pairs, an embedding being a tuple of integer host nodes by pattern
+        node.
         Returns (graph id, sig_subgraph id) per pattern."""
         ids, found, checked = [], [], set()
         with self._conn:
@@ -788,8 +812,7 @@ class CdmStore:
             self._conn.executemany(
                 "INSERT INTO lg_sigsub (graph_id, sig_subgraph_id,"
                 " node_mapping) VALUES (?, ?, ?)",
-                ((host_id, sig_id,
-                  canonical_json({str(k): str(v) for k, v in enumerate(emb)}))
+                ((host_id, sig_id, _node_mapping(emb))
                  for host_id, sig_id, embeddings in found
                  for emb in embeddings))
         return ids

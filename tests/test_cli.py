@@ -90,6 +90,11 @@ def mining_rows(ws):
             for table in ("sig_subgraph", "lg_sigsub")]
 
 
+def store_dump(ws):
+    with CdmStore(str(ws / "store.db")) as store:
+        return list(store.connection.iterdump())
+
+
 def write_doc(ws, name=" doc1.txt".strip(), text=DOC1):
     path = ws / name
     path.write_text(text, encoding="utf-8")
@@ -739,6 +744,37 @@ class TestGraphMine:
         assert [len(rows) for rows in first] == [6, 18]
         assert run(ws, "graph-mine", *options) == 0
         assert mining_rows(ws) == first
+
+    def test_failed_out_leaves_the_store_unchanged(self, ws, capsys):
+        """An --out destination that cannot be opened fails the run before
+        the store write, so the results stored before stay."""
+        self.mine_stored(ws, [("aba", [(0, 1, "x"), (2, 1, "x")]),
+                              ("ba", [(1, 0, "x")])],
+                         ["--min-support", "2", "--max-nodes", "1"])
+        stored = store_dump(ws)
+        capsys.readouterr()
+        assert run(ws, "graph-mine", "--min-support", "2", "--max-nodes",
+                   "2", "--out", str(ws)) == 1
+        assert "error:" in capsys.readouterr().err
+        assert store_dump(ws) == stored
+
+    def test_failed_store_write_leaves_the_out_file(self, ws, capsys):
+        out = ws / "patterns.tsv"
+        self.mine_stored(ws, [("ab", [(0, 1, "x")])] * 2,
+                         ["--min-support", "2", "--out", str(out)])
+        written = out.read_text(encoding="utf-8")
+        assert written.count("graph\t") == 3
+        with CdmStore(str(ws / "store.db")) as store, store.connection:
+            store.connection.execute(
+                "CREATE TRIGGER refuse BEFORE INSERT ON lg_sigsub"
+                " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+        assert run(ws, "graph-mine", "--min-support", "1",
+                   "--out", str(out)) == 2
+        assert out.read_text(encoding="utf-8") == written
+        capsys.readouterr()
+        assert run(ws, "graph-mine", "--min-support", "2", "--no-persist",
+                   "--out", str(out)) == 0
+        assert out.read_text(encoding="utf-8").count("graph\t") == 3
 
     def test_store_and_file_print_the_same_patterns(self, ws, capsys):
         run(ws, "init")

@@ -17,6 +17,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from annokit import graphs as graph_module
 from annokit.documents import Document
 from annokit.errors import (
     DanglingReferenceError,
@@ -419,6 +420,25 @@ def oracle_mine(graphs, min_support, max_nodes):
     return out
 
 
+def triple_holders(graphs):
+    """(source label, edge label, target label) -> positions of the graphs
+    that hold it."""
+    holders = {}
+    for n, g in enumerate(graphs):
+        for s, d, l in g.edges:
+            holders.setdefault((g.nodes[s], l, g.nodes[d]), set()).add(n)
+    return holders
+
+
+@st.composite
+def sparse_triple_corpora(draw):
+    """2-6 graphs over alphabets wide enough that most triples occur in
+    few of them, and a min_support up to the number of graphs."""
+    graphs = draw(st.lists(labeled_graphs(5, 6, "abcd", "xyz"),
+                           min_size=2, max_size=6))
+    return graphs, draw(st.integers(1, len(graphs)))
+
+
 class TestMining:
     def test_shared_edge_worked_example(self):
         g1 = LabeledGraph(nodes=["cells", "express", "cd30"],
@@ -555,6 +575,42 @@ class TestMining:
                 assert [dict(enumerate(e)) for e in embeddings] == \
                     brute_force_embeddings(graphs[graph_id], r.pattern)
 
+    @settings(max_examples=100, deadline=None)
+    @given(case=sparse_triple_corpora())
+    def test_equals_oracle_when_most_triples_are_infrequent(self, case):
+        graphs, min_support = case
+        results = mine_frequent_subgraphs(graphs, min_support, max_nodes=3)
+        assert {canonical_code(r.pattern): (r.support, r.graph_ids)
+                for r in results} == oracle_mine(graphs, min_support, 3)
+        for r in results:
+            for graph_id, embeddings in zip(r.graph_ids, r.embeddings):
+                assert [dict(enumerate(e)) for e in embeddings] == \
+                    brute_force_embeddings(graphs[graph_id], r.pattern)
+
+    def test_infrequent_triples_reach_no_canonical_code(self, monkeypatch):
+        """A candidate holding a triple of fewer than min_support graphs
+        cannot be frequent, so it is never built and canonicalised."""
+        rng = random.Random(2001)
+        graphs = [random_graph(rng, max_n=5, labels="abc",
+                               edge_labels="xyz") for _ in range(6)]
+        min_support = 3
+        holders = triple_holders(graphs)
+        rare = {t for t, held in holders.items() if len(held) < min_support}
+        assert rare and len(rare) < len(holders)
+        seen = []
+
+        def recording(graph):
+            seen.append(graph)
+            return canonical_code(graph)
+
+        monkeypatch.setattr(graph_module, "canonical_code", recording)
+        results = mine_frequent_subgraphs(graphs, min_support, max_nodes=3)
+        assert any(g.edges for g in seen)
+        assert not [g for g in seen for s, d, l in g.edges
+                    if (g.nodes[s], l, g.nodes[d]) in rare]
+        assert {canonical_code(r.pattern): (r.support, r.graph_ids)
+                for r in results} == oracle_mine(graphs, min_support, 3)
+
 
 class TestPersistence:
     def make_store(self):
@@ -674,6 +730,58 @@ class TestPersistence:
         assert [g.name for g in loaded] == ["isolated node", "no nodes",
                                             "three edges"]
         assert load_graphs(store, "unknown") == []
+
+    def test_load_graphs_with_interleaved_linkage_rows(self):
+        """Linkage rows of two graphs that alternate in rowid order, with a
+        graph of another type stored between them, load per graph."""
+        store = self.make_store()
+        first, other, second = (
+            LabeledGraph(nodes=["a", "b"], edges=[(0, 1, "x")], name="g1",
+                         graph_type="dependency"),
+            LabeledGraph(nodes=["p", "q"], edges=[(1, 0, "z")], name="p1",
+                         graph_type="pattern"),
+            LabeledGraph(nodes=["c", "d"], edges=[(1, 0, "y")], name="g2",
+                         graph_type="dependency"))
+        persist_graphs(store, [first, other, second])
+        with store.connection:
+            store.connection.executemany(
+                "INSERT INTO linkage_graph (graph_id, node1, node2,"
+                " edge_label, node1_label, node2_label)"
+                " VALUES (?, ?, ?, ?, ?, ?)",
+                [(second.id, 1, 2, "w", "d", "e"),
+                 (first.id, 2, 0, "v", "f", "a"),
+                 (other.id, 0, 2, "u", "p", "r"),
+                 (second.id, 5, None, None, "g", None),
+                 (first.id, 1, 3, "t", "b", "h")])
+
+        def fields(g):
+            return g.id, g.name, g.graph_type, g.nodes, g.edges
+
+        loaded = load_graphs(store, "dependency")
+        assert [fields(g) for g in loaded] == [
+            fields(load_graph(store, gid)) for gid in (first.id, second.id)]
+        assert loaded[0].nodes == ["a", "b", "f", "h"]
+        assert loaded[1].edges == [(1, 0, "y"), (1, 2, "w")]
+
+    def test_node_mappings_are_canonical_json_at_any_size(self):
+        """An embedding is stored as canonical_json of its str(k): str(v)
+        map, whose keys sort as strings: "10" before "2"."""
+        store = self.make_store()
+        host = LabeledGraph(nodes=["a"] * 40, name="host")
+        persist_graph(store, host)
+        sizes = (1, 2, 10, 11, 12)
+        embeddings = {size: tuple(random.Random(size).sample(range(40), size))
+                      for size in sizes}
+        store.create_mining_results(
+            [(f"p{size}", "sig_subgraph",
+              [(n, None, None, "a", None) for n in range(size)], 1, {},
+              [(host.id, [embeddings[size]])]) for size in sizes])
+        stored = [row[0] for row in store.connection.execute(
+            "SELECT node_mapping FROM lg_sigsub ORDER BY rowid")]
+        assert stored == [canonical_json({str(k): str(v) for k, v in
+                                          enumerate(embeddings[size])})
+                          for size in sizes]
+        assert stored[-1].index('"10":') < stored[-1].index('"2":')
 
     def test_persist_graphs_all_or_nothing(self):
         store = self.make_store()

@@ -350,6 +350,20 @@ def test_checkpoint_writes_exactly_the_dirty_set():
     assert len(changed) == 5
 
 
+def test_checkpoint_of_a_clean_document_runs_no_statement():
+    store = fresh_store()
+    doc = Document("clean", "abc def")
+    doc.annotate(Interval(0, 3), "token", "abc")
+    store.marshal_document(doc)
+    twin = store.unmarshal_document(doc.id)
+    statements = []
+    store.connection.set_trace_callback(statements.append)
+    assert store.checkpoint(doc) == 0
+    assert store.checkpoint(twin) == 0
+    store.connection.set_trace_callback(None)
+    assert statements == []
+
+
 def test_checkpoint_requires_prior_marshal():
     store = fresh_store()
     doc = Document("late", "abc")
