@@ -305,6 +305,9 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     embeddings there; the count stops once too few graphs are left to
     reach min_support. Edges grow only by triples held by at least
     min_support graphs, and only in the graphs that hold the new one.
+    Single nodes seed from one pass that lists the graphs holding each
+    label; a label held by fewer than min_support graphs costs nothing
+    more, and the rest embed as their holders' nodes of that label.
     Every embedding of each result is kept on it.
     Output order: node count, then canonical code.
     """
@@ -321,7 +324,10 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
 
     ids = [g.id if g.id is not None else n for n, g in enumerate(graphs)]
     hosts = [_HostIndex(g) for g in graphs]
-    labels = sorted({label for g in graphs for label in g.nodes})
+    holding = {}  # node label -> graphs that hold it, ascending
+    for n, host in enumerate(hosts):
+        for label in host.by_label:
+            holding.setdefault(label, []).append(n)
     holders = {}  # (source label, edge label, target label) -> graphs
     for n, g in enumerate(graphs):
         for s, d, l in g.edges:
@@ -338,13 +344,15 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
 
     mined = {}
     frontier = []
-    for label in labels:
+    for label in sorted(holding):
+        held = holding[label]
+        if len(held) < min_support:
+            continue
         pattern = LabeledGraph(nodes=[label], graph_type="pattern")
-        members = [(n, embeddings) for n, host in enumerate(hosts)
-                   if (embeddings := _step(host, [()], None, label))]
-        if len(members) >= min_support:
-            mined[canonical_code(pattern)] = found(pattern, members)
-            frontier.append((pattern, members))
+        members = [(n, [(h,) for h in hosts[n].by_label[label]])
+                   for n in held]
+        mined[canonical_code(pattern)] = found(pattern, members)
+        frontier.append((pattern, members))
 
     while frontier:
         next_frontier = []

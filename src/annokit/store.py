@@ -516,28 +516,37 @@ class CdmStore:
                            metadata=json.loads(data))
             type_names = dict(self._conn.execute(
                 "SELECT id, name FROM annotation_types"))
-            rows = self._conn.execute(
+            # Rows stream from the cursor, one at a time; it is closed on
+            # every exit, so a failed open holds no read on the file.
+            cur = self._conn.execute(
                 'SELECT id, start, "end", type_id, value, data'
                 ' FROM annotations WHERE document_id = ?'
-                ' ORDER BY start, "end", id', (doc_id,)
-            ).fetchall()
-            # Rows of one span are adjacent, so they share one (frozen)
-            # Interval.
-            span = None
-            for ann_id, start, end, type_id, value, ann_data in rows:
-                if type_id not in type_names:
-                    raise NotFoundError(
-                        f"unknown annotation type id {type_id}")
-                attributes = _loads(ann_data)
-                provenance = attributes.pop(_PROVENANCE_KEY, "")
-                if span is None or span.start != start or span.end != end:
-                    span = Interval(start, end)
-                doc.index.add(Annotation(
-                    span=span,
-                    type_name=type_names[type_id], value=value,
-                    attributes=attributes, provenance=provenance,
-                    id=ann_id, doc_id=doc_id,
-                ))
+                ' ORDER BY start, "end", id', (doc_id,))
+            try:
+                # Rows of one span are adjacent, so they share one (frozen)
+                # Interval. Equal value and provenance texts share one
+                # str, as type names do through type_names. Nothing checks
+                # that a provenance is a str; one that is not is kept as
+                # decoded, so 1 and True stay apart and a list loads.
+                span = None
+                texts = {}
+                share = texts.setdefault
+                add = doc.index.add
+                for ann_id, start, end, type_id, value, ann_data in cur:
+                    type_name = type_names.get(type_id)
+                    if type_name is None:
+                        raise NotFoundError(
+                            f"unknown annotation type id {type_id}")
+                    attributes = _loads(ann_data)
+                    provenance = attributes.pop(_PROVENANCE_KEY, "")
+                    if provenance.__class__ is str:
+                        provenance = share(provenance, provenance)
+                    if span is None or span.start != start or span.end != end:
+                        span = Interval(start, end)
+                    add(Annotation(span, type_name, share(value, value),
+                                   attributes, provenance, ann_id, doc_id))
+            finally:
+                cur.close()
             return doc
 
     def _find(self, table: str, name: str) -> int | None:

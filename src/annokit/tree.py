@@ -28,8 +28,15 @@ FINISHED_BY and OVERLAPS bound the start from below only through
 ``max_len``: once one long span is indexed (a section, the whole
 document) they scan every entry starting within ``max_len`` before the
 probe, about 1 ms per query on 40k entries with one document-length span
-(Python 3.11, 2-vCPU VM). Nothing inside annokit issues those four
-relations. ``within`` scans exactly the entries that start inside its
+(Python 3.11, 2-vCPU VM). ``annokit query --rel`` and
+``Document.annotations_satisfying`` issue all thirteen relations, and
+so does every session of the benchmark's revisit workload: over one
+revisit round (seed 5, one query per relation on each of 20 documents)
+CONTAINS, FINISHED_BY, MEETS and OVERLAPS take about 1.9, 1.9, 1.8 and
+1.4 ms, against 0.13-0.25 ms each for DURING, STARTS, STARTED_BY,
+FINISHES, MET_BY and OVERLAPPED_BY. Bounding those four by what they
+return is ROADMAP.md item 2 ("Every Allen relation costs what it
+returns"). ``within`` scans exactly the entries that start inside its
 interval, and ``starting_from`` only the entries its caller takes.
 """
 

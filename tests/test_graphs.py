@@ -611,6 +611,36 @@ class TestMining:
         assert {canonical_code(r.pattern): (r.support, r.graph_ids)
                 for r in results} == oracle_mine(graphs, min_support, 3)
 
+    def test_labels_below_support_are_never_stepped(self, monkeypatch):
+        """Single nodes seed from the graphs that hold each label, so a
+        label held by fewer than min_support graphs costs no step, and
+        the frequent ones are seeded without one either."""
+        rng = random.Random(2003)
+        graphs = [random_graph(rng, max_n=6, labels="aabbcdefgh",
+                               edge_labels="xy") for _ in range(10)]
+        min_support = 3
+        holding = {}
+        for n, g in enumerate(graphs):
+            for label in set(g.nodes):
+                holding.setdefault(label, set()).add(n)
+        rare = {label for label, held in holding.items()
+                if len(held) < min_support}
+        assert rare and len(rare) < len(holding)
+        calls = []
+        step = graph_module._step
+
+        def recording(host, embeddings, edge, label=None):
+            calls.append((embeddings, edge, label))
+            return step(host, embeddings, edge, label)
+
+        monkeypatch.setattr(graph_module, "_step", recording)
+        results = mine_frequent_subgraphs(graphs, min_support, max_nodes=3)
+        assert calls
+        assert not [c for c in calls if c[2] in rare]
+        assert not [c for c in calls if c[1] is None]
+        assert {canonical_code(r.pattern): (r.support, r.graph_ids)
+                for r in results} == oracle_mine(graphs, min_support, 3)
+
 
 class TestPersistence:
     def make_store(self):

@@ -19,7 +19,7 @@ from hypothesis.stateful import (
 
 import annokit
 
-from annokit.documents import Document
+from annokit.documents import Document, export_annotations
 from annokit.errors import (
     ConflictError,
     DanglingReferenceError,
@@ -300,6 +300,79 @@ def test_unmarshal_restores_gc_when_the_load_fails(gc_state):
             store.unmarshal_document(doc_id)
         assert gc.isenabled() is enabled
         assert gc.get_freeze_count() == 0
+
+
+def test_a_failed_open_releases_its_read(tmp_path):
+    """An open that stops on a bad row in mid-document holds no read lock,
+    even while the caller still holds the exception and its frames."""
+    path = str(tmp_path / "store.db")
+    store = CdmStore(path)
+    store.init_schema()
+    doc = Document("locked", "alpha beta gamma")
+    for start, end in ((0, 5), (6, 10), (11, 16)):
+        doc.annotate(Interval(start, end), "token")
+    store.marshal_document(doc)
+    middle = doc.annotations()[1].id
+    with store.connection:
+        store.connection.execute(
+            "UPDATE annotations SET type_id = 999 WHERE id = ?", (middle,))
+    with pytest.raises(NotFoundError, match="unknown annotation type") \
+            as raised:
+        store.unmarshal_document(doc.id)
+    other = sqlite3.connect(path, timeout=0)
+    try:
+        with other:
+            other.execute("INSERT INTO corpora (name) VALUES ('written')")
+    finally:
+        other.close()
+    assert raised.value.__traceback__ is not None
+    assert store.find_corpus("written") is not None
+    store.close()
+
+
+def test_an_open_shares_equal_texts_but_not_attributes(tmp_path):
+    store = fresh_store()
+    doc = Document("shared", "alpha beta gamma delta")
+    for start, end in ((0, 5), (6, 10), (11, 16), (17, 22)):
+        doc.annotate(Interval(start, end), "CUI", "C00001",
+                     {"TYPE": "Hospital"}, "toolx")
+    doc.annotate(Interval(0, 22), "sentence", "", {}, "")
+    store.marshal_document(doc)
+    twin = store.unmarshal_document(doc.id)
+    # a marshal -> open round trip exports the same bytes
+    before, after = tmp_path / "before.tsv", tmp_path / "after.tsv"
+    export_annotations(doc, before)
+    export_annotations(twin, after)
+    assert after.read_bytes() == before.read_bytes()
+    first, second, third, fourth = twin.annotations("CUI")
+    assert first.value == "C00001" and first.provenance == "toolx"
+    assert second.value is first.value
+    assert second.provenance is first.provenance
+    # attribute dicts stay one per annotation
+    assert first.attributes is not second.attributes
+    first.attributes["TYPE"] = "Clinic"
+    assert second.attributes == {"TYPE": "Hospital"}
+    twin.update_annotation(third.id, attributes={"TYPE": "Ward"},
+                           value="C2", provenance="tooly")
+    assert fourth.attributes == {"TYPE": "Hospital"}
+    assert (fourth.value, fourth.provenance) == ("C00001", "toolx")
+    assert store.checkpoint(twin) == 1
+    again = store.unmarshal_document(doc.id)
+    assert [(a.value, a.attributes, a.provenance)
+            for a in again.annotations("CUI")] == [
+        ("C00001", {"TYPE": "Hospital"}, "toolx"),
+        ("C00001", {"TYPE": "Hospital"}, "toolx"),
+        ("C2", {"TYPE": "Ward"}, "tooly"),
+        ("C00001", {"TYPE": "Hospital"}, "toolx")]
+    # provenance that is not text comes back as stored: 1 and True are
+    # equal keys, and a list is no key at all
+    odd = Document("odd", "ab")
+    for provenance in (1, True, ["x"]):
+        odd.annotate(Interval(0, 1), "t", "", {}, provenance)
+    store.marshal_document(odd)
+    assert [(type(a.provenance), a.provenance) for a in
+            store.unmarshal_document(odd.id).annotations()] == [
+        (int, 1), (bool, True), (list, ["x"])]
 
 
 def stored_with_data(text):
