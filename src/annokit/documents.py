@@ -42,11 +42,29 @@ DEFAULT_ABBREVIATIONS = frozenset(
 # and the store, so no annotation may hold it as an attribute.
 _PROVENANCE_KEY = "_provenance"
 
+# The one attribute that holds the id of another annotation: a section's
+# parent. The store writes it with the durable id it gives that parent.
+_PARENT_REFERENCE = ("section", "parent")
 
-def _check_attributes(attributes: dict) -> None:
+
+def _check_entry(length, span, type_name, value, attributes, provenance):
+    """Raise ValidationError or BoundsError unless an annotation may enter
+    a document of ``length`` characters: its type, value, provenance and
+    attributes are all ``str``, its type is not empty, no attribute is
+    named ``_provenance``, and its span ends inside the text."""
+    if not (type_name.__class__ is value.__class__ is provenance.__class__
+            is str):
+        raise ValidationError("type_name, value and provenance must be str")
+    if not type_name:
+        raise ValidationError("annotation type_name must be non-empty")
+    for key, text in attributes.items():
+        if not (key.__class__ is text.__class__ is str):
+            raise ValidationError(f"attribute {key!r}={text!r} is not str")
     if _PROVENANCE_KEY in attributes:
         raise ValidationError(
             f"attribute key {_PROVENANCE_KEY!r} is reserved for provenance")
+    if span.end > length:
+        raise BoundsError(f"span {span} exceeds document length {length}")
 
 
 @dataclass(eq=True)
@@ -93,18 +111,19 @@ class AnnotationIndex:
         self.by_id[ann.id] = ann
         self.by_type.setdefault(ann.type_name, set()).add(ann.id)
 
-    def reindex_span(self, ann: Annotation, new_span: Interval) -> None:
-        self.tree.remove(ann.span, ann)
-        ann.span = new_span
-        self.tree.insert(new_span, ann)
-
-    def reindex_type(self, ann: Annotation, new_type: str) -> None:
-        ids = self.by_type[ann.type_name]
-        ids.discard(ann.id)
-        if not ids:
-            del self.by_type[ann.type_name]
-        ann.type_name = new_type
-        self.by_type.setdefault(new_type, set()).add(ann.id)
+    def reindex(self, ann: Annotation, span: Interval, type_name: str) -> None:
+        """Give an indexed annotation a new span and type."""
+        if span != ann.span:
+            self.tree.remove(ann.span, ann)
+            ann.span = span
+            self.tree.insert(span, ann)
+        if type_name != ann.type_name:
+            ids = self.by_type[ann.type_name]
+            ids.discard(ann.id)
+            if not ids:
+                del self.by_type[ann.type_name]
+            ann.type_name = type_name
+            self.by_type.setdefault(type_name, set()).add(ann.id)
 
     def replace_id(self, old_id: int, new_id: int) -> Annotation:
         """Rebind an annotation to a new id, e.g. when the store assigns a
@@ -146,14 +165,8 @@ class Document:
     def add_annotation(self, ann: Annotation) -> int:
         """Attach an annotation, assigning a provisional id when it has
         none, and mark it dirty."""
-        if not ann.type_name:
-            raise ValidationError("annotation type_name must be non-empty")
-        _check_attributes(ann.attributes)
-        if ann.span.end > len(self._content):
-            raise BoundsError(
-                f"span {ann.span} exceeds document length "
-                f"{len(self._content)}"
-            )
+        _check_entry(len(self._content), ann.span, ann.type_name, ann.value,
+                     ann.attributes, ann.provenance)
         if ann.id is None:
             ann.id = self._next_provisional
             self._next_provisional -= 1
@@ -227,26 +240,19 @@ class Document:
                           attributes: dict | None = None,
                           provenance: str | None = None) -> Annotation:
         """Modify fields of an existing annotation, keeping the index
-        consistent, and mark it dirty."""
+        consistent, and mark it dirty. The edited annotation meets the
+        rules ``add_annotation`` checks, or nothing changes."""
         ann = self.annotation(ann_id)
-        _check_attributes(attributes or {})
-        if span is not None and span != ann.span:
-            if span.end > len(self._content):
-                raise BoundsError(
-                    f"span {span} exceeds document length "
-                    f"{len(self._content)}"
-                )
-            self.index.reindex_span(ann, span)
-        if type_name is not None and type_name != ann.type_name:
-            if not type_name:
-                raise ValidationError("annotation type_name must be non-empty")
-            self.index.reindex_type(ann, type_name)
-        if value is not None:
-            ann.value = value
-        if attributes is not None:
-            ann.attributes = dict(attributes)
-        if provenance is not None:
-            ann.provenance = provenance
+        span = ann.span if span is None else span
+        type_name = ann.type_name if type_name is None else type_name
+        value = ann.value if value is None else value
+        attributes = ann.attributes if attributes is None else dict(attributes)
+        provenance = ann.provenance if provenance is None else provenance
+        _check_entry(len(self._content), span, type_name, value, attributes,
+                     provenance)
+        self.index.reindex(ann, span, type_name)
+        ann.value, ann.provenance = value, provenance
+        ann.attributes = attributes
         self.dirty.add(ann_id)
         return ann
 
@@ -501,23 +507,20 @@ def import_external_annotations(doc: Document, src) -> int:
     bad = []
     for lineno, line in content_lines(src):
         fields = line.split("\t")
-        if len(fields) != 6:
+        if len(fields) != 6 or fields[0] != doc.name:
             bad.append(lineno)
             continue
-        name, raw_start, raw_end, type_name, value, raw_attrs = fields
+        _, raw_start, raw_end, type_name, value, raw_attrs = fields
         try:
-            start, end = int(raw_start), int(raw_end)
+            span = Interval(int(raw_start), int(raw_end))
             attributes = _parse_attributes(raw_attrs)
-        except ValueError:
+            provenance = attributes.pop(_PROVENANCE_KEY, "")
+            _check_entry(len(doc.content), span, type_name, value,
+                         attributes, provenance)
+        except (ValueError, ValidationError, BoundsError):
             bad.append(lineno)
             continue
-        if (name != doc.name or not type_name or start < 0 or end < start
-                or end > len(doc.content)):
-            bad.append(lineno)
-            continue
-        provenance = attributes.pop(_PROVENANCE_KEY, "")
-        parsed.append((Interval(start, end), type_name, value,
-                       attributes, provenance))
+        parsed.append((span, type_name, value, attributes, provenance))
 
     if bad:
         raise ImportFormatError(

@@ -263,7 +263,9 @@ def detect_sections(doc: Document, guideline: Guideline) -> list[Annotation]:
 
     A section's span runs from its heading's start to the next accepted
     sibling heading, or to the end of the enclosing scope. Subsection
-    search is confined to the parent body after its heading.
+    search is confined to the parent body after its heading, and a
+    subsection's ``parent`` attribute is its parent's id, which the store
+    turns into the durable id when it writes them.
     """
     out = []
     _detect_in_scope(doc, guideline.sections, 0, len(doc.content),

@@ -13,7 +13,8 @@ dirty annotations, checkpoint writes dirty annotations only. An import
 writes its new documents the way marshal does, and files them in their
 corpus, all in one transaction, so that a rerun converges. Annotations
 enter memory with provisional negative ids and get their durable ids from
-the store on first flush. No other module runs SQL.
+the store on first flush; a section's ``parent`` attribute is written, and
+then held, with the durable id of its parent. No other module runs SQL.
 
 A store keeps no state but its connection. Each write transaction and
 each unmarshal reads ``annotation_types`` once, within its own call, so
@@ -30,7 +31,12 @@ import operator
 import sqlite3
 from collections import namedtuple
 
-from .documents import _PROVENANCE_KEY, Annotation, Document
+from .documents import (
+    _PARENT_REFERENCE,
+    _PROVENANCE_KEY,
+    Annotation,
+    Document,
+)
 from .errors import (
     ConflictError,
     DanglingReferenceError,
@@ -346,52 +352,69 @@ class CdmStore:
     # documents and annotations
 
     @staticmethod
-    def _annotation_data(ann: Annotation) -> str:
-        if ann.provenance:
-            payload = dict(ann.attributes)
-            payload[_PROVENANCE_KEY] = ann.provenance
-        else:
-            payload = ann.attributes
-        return canonical_json(payload)
+    def _annotation_data(attributes: dict, provenance: str) -> str:
+        if provenance:
+            attributes = dict(attributes)
+            attributes[_PROVENANCE_KEY] = provenance
+        return canonical_json(attributes)
 
     def _type_ids(self) -> dict[str, int]:
         return dict(self._conn.execute(
             "SELECT name, id FROM annotation_types"))
 
     def _flush_annotations(self, doc: Document, doc_id: int,
-                           type_ids: dict[str, int]) -> tuple[int, list]:
+                           type_ids: dict[str, int]) -> tuple[dict, list]:
         """Write dirty annotations of document ``doc_id`` inside the
         caller's transaction.
 
-        Returns (rows written, deferred id remaps). Remaps are applied by
-        the caller only after commit so a rollback leaves the in-memory
-        document consistent with the store. ``type_ids`` maps type names
-        to ids, read in the caller's transaction and kept nowhere else,
-        so a rollback cannot leave an id behind whose row it took away.
+        Returns (durable id per provisional id, rewritten references as
+        (annotation, attributes) pairs), which the caller adopts only
+        after commit so a rollback leaves the in-memory document
+        consistent with the store. ``type_ids`` maps type names to ids,
+        read in the caller's transaction and kept nowhere else, so a
+        rollback cannot leave an id behind whose row it took away.
         """
-        written = 0
-        remaps = []
         # Canonical order: the new rows get ascending ids above every
-        # durable id of the document, so the provisional ids they replace
-        # keep their places in the index (see AnnotationIndex.replace_id).
+        # durable id, the ids sqlite would give them one by one, so the
+        # provisional ids they replace keep their places in the index
+        # (see AnnotationIndex.replace_id). Known before any row is
+        # written, they let a section's parent be written durable.
         pending = sorted(doc.index.by_id[ann_id] for ann_id in doc.dirty)
         for name in dict.fromkeys(ann.type_name for ann in pending):
             if name not in type_ids:
                 type_ids[name] = self._conn.execute(
                     "INSERT INTO annotation_types (name) VALUES (?)",
                     (name,)).lastrowid
+        fresh = [ann for ann in pending if ann.id < 0]
+        new_ids = {}
+        if fresh:
+            (top,) = self._conn.execute(
+                "SELECT COALESCE(MAX(id), 0) FROM annotations").fetchone()
+            new_ids = {ann.id: new_id
+                       for new_id, ann in enumerate(fresh, top + 1)}
+        section, parent = _PARENT_REFERENCE
+        references = None  # provisional id text -> durable id text
+        rewritten = []
         for ann in pending:
-            data = self._annotation_data(ann)
+            attributes = ann.attributes
+            if ann.type_name == section and parent in attributes:
+                if references is None:
+                    references = {str(old): str(new)
+                                  for old, new in new_ids.items()}
+                if attributes[parent] in references:
+                    attributes = dict(attributes)
+                    attributes[parent] = references[attributes[parent]]
+                    rewritten.append((ann, attributes))
+            data = self._annotation_data(attributes, ann.provenance)
             type_id = type_ids[ann.type_name]
             if ann.id < 0:
-                cur = self._conn.execute(
+                self._conn.execute(
                     'INSERT INTO annotations '
-                    '(document_id, start, "end", type_id, value, data) '
-                    'VALUES (?, ?, ?, ?, ?, ?)',
-                    (doc_id, ann.span.start, ann.span.end, type_id,
-                     ann.value, data),
+                    '(id, document_id, start, "end", type_id, value, data) '
+                    'VALUES (?, ?, ?, ?, ?, ?, ?)',
+                    (new_ids[ann.id], doc_id, ann.span.start, ann.span.end,
+                     type_id, ann.value, data),
                 )
-                remaps.append((ann.id, cur.lastrowid))
             else:
                 cur = self._conn.execute(
                     'UPDATE annotations SET document_id = ?, start = ?, '
@@ -405,23 +428,25 @@ class CdmStore:
                         f"annotation {ann.id} vanished from the store; "
                         f"refusing a blind rewrite"
                     )
-            written += 1
-        return written, remaps
+        return new_ids, rewritten
 
     @staticmethod
-    def _adopt_flushed(doc: Document, doc_id: int, remaps) -> None:
-        """After commit: take the durable ids and mark the doc clean."""
+    def _adopt_flushed(doc: Document, doc_id: int, flushed) -> None:
+        """After commit: take the durable ids and the rewritten references
+        that ``_flush_annotations`` returned, and mark the doc clean."""
+        new_ids, rewritten = flushed
         doc.id = doc_id
-        for old_id, new_id in remaps:
-            doc.index.replace_id(old_id, new_id)
-            doc.index.by_id[new_id].doc_id = doc_id
+        for old_id, new_id in new_ids.items():
+            doc.index.replace_id(old_id, new_id).doc_id = doc_id
+        for ann, attributes in rewritten:
+            ann.attributes = attributes
         doc.dirty.clear()
 
     def _write_document(self, doc: Document, type_ids: dict[str, int]
-                        ) -> tuple[int, int, int, list]:
+                        ) -> tuple[int, int, tuple]:
         """Write the document row (when new or changed) and its dirty
         annotations in the caller's transaction. Returns (document id,
-        document rows, annotation rows, id remaps to adopt after commit)."""
+        document rows, what to adopt after commit)."""
         doc_rows = 0
         current = (doc.name, doc.metadata.get("source", ""),
                    len(doc.content), canonical_json(doc.metadata),
@@ -446,17 +471,18 @@ class CdmStore:
                     " WHERE id = ?", current + (doc_id,),
                 )
                 doc_rows = 1
-        return (doc_id, doc_rows) + self._flush_annotations(doc, doc_id,
-                                                            type_ids)
+        return doc_id, doc_rows, self._flush_annotations(doc, doc_id,
+                                                         type_ids)
 
     def marshal_document(self, doc: Document) -> dict:
         """Persist the document row (when new or changed) and every dirty
         annotation. Returns row counts per table. Atomic: on any failure
         nothing is persisted and the dirty set is retained."""
+        ann_rows = len(doc.dirty)
         with self._conn:
-            doc_id, doc_rows, ann_rows, remaps = self._write_document(
+            doc_id, doc_rows, flushed = self._write_document(
                 doc, self._type_ids())
-        self._adopt_flushed(doc, doc_id, remaps)
+        self._adopt_flushed(doc, doc_id, flushed)
         return {"documents": doc_rows, "annotations": ann_rows}
 
     def import_documents(self, docs, corpus_id: int | None = None
@@ -476,16 +502,15 @@ class CdmStore:
                 doc_id = self.find_document(doc.name)
                 stored.append(doc_id is None)
                 if doc_id is None:
-                    doc_id, _, _, remaps = self._write_document(doc,
-                                                                type_ids)
-                    written.append((doc, doc_id, remaps))
+                    doc_id, _, flushed = self._write_document(doc, type_ids)
+                    written.append((doc, doc_id, flushed))
                 if corpus_id is not None:
                     self._conn.execute(
                         "INSERT OR IGNORE INTO corpora_documents"
                         " (corpus_id, document_id) VALUES (?, ?)",
                         (corpus_id, doc_id))
-        for doc, doc_id, remaps in written:
-            self._adopt_flushed(doc, doc_id, remaps)
+        for doc, doc_id, flushed in written:
+            self._adopt_flushed(doc, doc_id, flushed)
         return stored
 
     def checkpoint(self, doc: Document) -> int:
@@ -495,10 +520,10 @@ class CdmStore:
             raise StoreError("checkpoint before first marshal")
         if not doc.dirty:
             return 0
+        written = len(doc.dirty)
         with self._conn:
-            written, remaps = self._flush_annotations(doc, doc.id,
-                                                      self._type_ids())
-        self._adopt_flushed(doc, doc.id, remaps)
+            flushed = self._flush_annotations(doc, doc.id, self._type_ids())
+        self._adopt_flushed(doc, doc.id, flushed)
         return written
 
     def unmarshal_document(self, doc_id: int) -> Document:

@@ -101,6 +101,18 @@ def write_doc(ws, name=" doc1.txt".strip(), text=DOC1):
     return str(path)
 
 
+def add_guideline(ws):
+    """Configure a guideline whose nested headings occur in DOC1 and in
+    the session's doc2.txt."""
+    path = ws / "guideline.xml"
+    path.write_text(
+        '<guideline name="notes"><section name="opening">'
+        '<pattern regex="^(Cells|One)"/>'
+        '<section name="finding"><pattern regex="Biopsy|^Two"/></section>'
+        '</section></guideline>', encoding="utf-8")
+    add_cfg(ws, guideline=str(path))
+
+
 class TestInit:
     def test_fresh_then_rerun(self, ws, capsys):
         assert run(ws, "init") == 0
@@ -433,6 +445,28 @@ class TestImportAndRun:
         assert [a.value for a in doc.annotations("template")] == ["marker"]
         assert [a.value for a in doc.annotations("SP-POS")] == ["VB"]
         assert doc.annotations("section") == doc.annotations("CUI") == []
+
+    def test_sections_store_the_same_after_an_earlier_run(self, tmp_path):
+        """A section's parent is stored by its durable id, whichever run
+        wrote the sections."""
+        dumps = []
+        for n, steps in enumerate((
+                ["tokenize,sentences,sections"],
+                ["tokenize,sentences", "tokenize,sentences,sections"])):
+            (tmp_path / str(n)).mkdir()
+            ws = workspace(tmp_path / str(n))
+            run(ws, "init")
+            add_guideline(ws)
+            path = write_doc(ws)
+            for stages in steps:
+                assert run(ws, "run", path, "--stages", stages) == 0
+            dumps.append(store_dump(ws))
+        assert dumps[0] == dumps[1]
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("doc1.txt"))
+        parent, child = doc.annotations("section")
+        assert (parent.value, child.value) == ("opening", "finding")
+        assert child.attributes["parent"] == str(parent.id)
 
     def test_graphs_found_by_exact_name(self, ws, capsys):
         run(ws, "init")
@@ -913,7 +947,8 @@ def sentence_deps(name, count):
 
 def session(ws):
     """Every command of a session over text files and an inline corpus,
-    from import through the concepts and graphs stages to mining."""
+    from import through the sections, concepts and graphs stages to
+    mining."""
     paths = [write_doc(ws), write_doc(ws, "doc2.txt", "One line.\nTwo.")]
     src = ws / "ward.xml"
     src.write_text("<ROOT>" + "".join(
@@ -923,12 +958,13 @@ def session(ws):
     terms = ws / "terms.tsv"
     terms.write_text(TERMS, encoding="utf-8")
     add_cfg(ws, lexicon_terms=str(terms))
+    add_guideline(ws)
     deps = ws / "deps.tsv"
     deps.write_text(sentence_deps("doc1.txt", 1), encoding="utf-8")
     documents = [*paths, "r1", "r2", "r3"]
     return [["init"], ["import", *paths, "--corpus", "notes"],
             ["import", "--inline", str(src), "--corpus", "notes"],
-            ["run", *documents, "--stages", "tokenize,sentences"],
+            ["run", *documents, "--stages", "tokenize,sentences,sections"],
             ["instances", "--corpus", "notes", "--create-documents"],
             ["run", *documents, "--stages", "tokenize,sentences,concepts"],
             ["import", "--annotations", str(deps), "--doc", "doc1.txt"],
@@ -956,7 +992,7 @@ def clean_dump():
         return dump(ws)
 
 
-# The session takes about 420 ticks of 20 sqlite VM steps.
+# The session takes about 430 ticks of 20 sqlite VM steps.
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=450))
 def test_session_interrupted_at_any_tick_converges_on_rerun(tick):

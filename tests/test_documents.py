@@ -82,16 +82,29 @@ def test_provenance_key_rejected_on_add():
     assert doc.annotations() == [] and doc.dirty == set()
 
 
-def test_provenance_key_rejected_on_update():
+# A rejected update changes nothing, whichever of its fields is at fault.
+@pytest.mark.parametrize("edit, error", [
+    (dict(span=Interval(3, 5), attributes={"_provenance": "x"}),
+     ValidationError),
+    (dict(span=Interval(3, 5), type_name=""), ValidationError),
+    (dict(span=Interval(3, 5), value=5), ValidationError),
+    (dict(type_name="u", span=Interval(3, 11)), BoundsError),
+], ids=["provenance-key", "empty-type", "non-text-value",
+        "span-outside-text"])
+def test_provenance_key_rejected_on_update(edit, error):
     doc = make_doc()
-    ann = doc.annotate(Interval(0, 2), "t", attributes={"k": "v"},
-                       provenance="p")
+    ann = doc.annotate(Interval(0, 2), "t", "v", {"k": "v"}, "p")
+    doc.annotate(Interval(1, 4), "other")
     doc.dirty.clear()
-    with pytest.raises(ValidationError):
-        doc.update_annotation(ann.id, span=Interval(3, 5),
-                              attributes={"_provenance": "x"})
-    assert (ann.span, ann.attributes, ann.provenance) == \
-        (Interval(0, 2), {"k": "v"}, "p")
+    entries = [(span, other.id) for span, other in doc.index.tree]
+    by_type = {name: set(ids) for name, ids in doc.index.by_type.items()}
+    with pytest.raises(error):
+        doc.update_annotation(ann.id, **edit)
+    assert (ann.span, ann.type_name, ann.value, ann.attributes,
+            ann.provenance) == (Interval(0, 2), "t", "v", {"k": "v"}, "p")
+    assert doc.index.by_type == by_type
+    assert [(span, other.id) for span, other in doc.index.tree] == entries
+    doc.index.tree.audit()
     assert doc.dirty == set()
 
 
@@ -425,21 +438,48 @@ def test_export_refuses_a_comment_name():
         assert not os.path.exists(path)
 
 
-@given(name=_ATTRIBUTE_TEXT, type_name=_ATTRIBUTE_TEXT.filter(bool),
-       value=_ATTRIBUTE_TEXT,
+# an integer, None or a list: what the model refuses in place of text
+_NOT_TEXT = st.integers() | st.none() | st.lists(st.integers(), max_size=2)
+
+
+def _mostly(text, other=_NOT_TEXT):
+    """Draws from ``text``, and one time in ten from ``other``."""
+    return st.integers(0, 9).flatmap(lambda k: text if k else other)
+
+
+@given(name=_ATTRIBUTE_TEXT, type_name=_mostly(_ATTRIBUTE_TEXT.filter(bool)),
+       value=_mostly(_ATTRIBUTE_TEXT),
        attributes=st.dictionaries(
-           _ATTRIBUTE_TEXT.filter(lambda key: key != "_provenance"),
-           _ATTRIBUTE_TEXT, max_size=3),
-       provenance=_ATTRIBUTE_TEXT)
+           _mostly(_ATTRIBUTE_TEXT.filter(lambda key: key != "_provenance"),
+                   st.integers() | st.none()),
+           _mostly(_ATTRIBUTE_TEXT), max_size=3),
+       provenance=_mostly(_ATTRIBUTE_TEXT))
 @example(name=" #note", type_name="tag", value="v", attributes={},
          provenance="")
 @example(name="d", type_name="tag", value="a\rb", attributes={},
          provenance="")
+@example(name="d", type_name="tag", value=5, attributes={}, provenance="")
+@example(name="d", type_name="tag", value="v", attributes={}, provenance=1)
+@example(name="d", type_name=None, value="v", attributes={}, provenance="")
+@example(name="d", type_name="tag", value="v", attributes={1: "x"},
+         provenance="")
+@example(name="d", type_name="tag", value="v", attributes={"k": ["x"]},
+         provenance="")
 def test_tsv_round_trips_or_export_refuses(name, type_name, value,
                                            attributes, provenance):
-    """Export refuses exactly the annotations whose line would not read
-    back, and writes nothing then; every other one round-trips."""
+    """The model refuses an annotation whose type, value, provenance or
+    attribute keys or values are not all text, and adds nothing. Export
+    refuses exactly the annotations whose line would not read back, and
+    writes nothing then; every other one round-trips."""
     doc = make_doc("abc", name=name)
+    texts = (type_name, value, provenance, *attributes, *attributes.values())
+    if not all(isinstance(text, str) for text in texts):
+        with pytest.raises(ValidationError):
+            doc.annotate(Interval(0, 3), type_name, value, attributes,
+                         provenance)
+        assert doc.annotations() == [] and doc.dirty == set()
+        assert export_annotations(doc, io.StringIO()) == 0
+        return
     doc.annotate(Interval(0, 3), type_name, value, attributes, provenance)
     refused = (name.lstrip().startswith("#")
                or any(char in text for text in (name, type_name, value)

@@ -29,6 +29,7 @@ from annokit.errors import (
     ValidationError,
 )
 from annokit.intervals import AllenRelation, Interval
+from annokit.sections import detect_sections, parse_guideline
 from annokit.store import CdmStore, canonical_json, schema_ddl
 
 ALL_TABLES = {
@@ -364,25 +365,35 @@ def test_an_open_shares_equal_texts_but_not_attributes(tmp_path):
         ("C00001", {"TYPE": "Hospital"}, "toolx"),
         ("C2", {"TYPE": "Ward"}, "tooly"),
         ("C00001", {"TYPE": "Hospital"}, "toolx")]
-    # provenance that is not text comes back as stored: 1 and True are
-    # equal keys, and a list is no key at all
-    odd = Document("odd", "ab")
-    for provenance in (1, True, ["x"]):
-        odd.annotate(Interval(0, 1), "t", "", {}, provenance)
-    store.marshal_document(odd)
-    assert [(type(a.provenance), a.provenance) for a in
-            store.unmarshal_document(odd.id).annotations()] == [
+    # provenance that is not text, which annotate refuses, comes back as
+    # stored: 1 and True are equal keys, and a list is no key at all
+    odd, odd_id = stored_with_data(*(canonical_json({"_provenance": value})
+                                     for value in (1, True, ["x"])))
+    opened = odd.unmarshal_document(odd_id)
+    assert [(type(a.provenance), a.provenance)
+            for a in opened.annotations()] == [
         (int, 1), (bool, True), (list, ["x"])]
+    # such an annotation takes an edit only with a text provenance
+    first = opened.annotations()[0]
+    with pytest.raises(ValidationError):
+        opened.update_annotation(first.id, value="v")
+    assert (first.value, first.provenance, opened.dirty) == ("", 1, set())
+    opened.update_annotation(first.id, value="v", provenance="p")
+    assert (first.value, first.provenance) == ("v", "p")
 
 
-def stored_with_data(text):
-    """A one-annotation store whose data column holds ``text``."""
+def stored_with_data(*texts):
+    """A store of one document whose n-th annotation, all on one span, has
+    the n-th of ``texts`` in its data column."""
     store = fresh_store()
     doc = Document("raw", "abc")
-    doc.annotate(Interval(0, 3), "token")
+    for _ in texts:
+        doc.annotate(Interval(0, 3), "token")
     store.marshal_document(doc)
     with store.connection:
-        store.connection.execute("UPDATE annotations SET data = ?", (text,))
+        store.connection.executemany(
+            "UPDATE annotations SET data = ? WHERE id = ?",
+            zip(texts, sorted(doc.index.by_id)))
     return store, doc.id
 
 
@@ -705,6 +716,36 @@ def test_marshal_retry_after_rollback_succeeds():
     back = store.unmarshal_document(doc.id)
     assert [(a.span, a.value) for a in back.annotations()] == [
         (Interval(0, 5), "alpha")]
+
+
+NESTED = parse_guideline(
+    '<guideline name="n"><section name="results">'
+    '<pattern regex="^RESULTS:"/>'
+    '<section name="labs"><pattern regex="^LABS:"/></section>'
+    '</section></guideline>')
+
+
+def test_a_stored_section_names_its_parent_by_durable_id():
+    store = fresh_store()
+    doc = Document("nested", "RESULTS:\ngeneral findings\nLABS:\nwbc 5\n")
+    doc.annotate(Interval(0, 8), "token", "RESULTS")
+    parent, child = detect_sections(doc, NESTED)
+    provisional = str(parent.id)
+    # only a section's parent is a reference; another type's is text
+    other = doc.annotate(Interval(0, 8), "PHI", "", {"parent": provisional})
+    refuse_annotation_inserts(store)
+    with pytest.raises(StoreError, match="refused"):
+        store.marshal_document(doc)
+    assert child.attributes["parent"] == provisional
+    allow_annotation_inserts(store)
+    store.marshal_document(doc)
+    assert child.attributes["parent"] == str(parent.id) != provisional
+    assert other.attributes == {"parent": provisional}
+    opened = store.unmarshal_document(doc.id)
+    parent, child = opened.annotations("section")
+    assert child.attributes == {"heading_start": "26", "heading_end": "31",
+                                "depth": "1", "parent": str(parent.id)}
+    assert opened.annotations("PHI")[0].attributes == {"parent": provisional}
 
 
 def test_type_ids_of_a_rolled_back_checkpoint_are_forgotten(tmp_path):
