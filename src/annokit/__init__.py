@@ -63,7 +63,7 @@ from .inline import (
     render_offsets,
     split_records,
 )
-from .intervals import AllenRelation, Interval, canonical_compare, holds, inverse, relate
+from .intervals import AllenRelation, Interval, holds, inverse, relate
 from .sections import Guideline, detect_sections, match_templates, parse_guideline
 from .store import CdmStore
 from .tree import IntervalTree
@@ -107,7 +107,6 @@ __all__ = [
     "build_dependency_graph",
     "build_sentence_graphs",
     "canonical_code",
-    "canonical_compare",
     "convert",
     "detect_sections",
     "export_annotations",

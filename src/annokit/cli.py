@@ -173,8 +173,7 @@ class _StageResources:
                 config.lexicon_terms,
                 tui_file=config.lexicon_tuis or None,
                 pos_file=config.lexicon_pos or None,
-                function_word_file=config.function_words or None,
-                max_phrase_tokens=config.max_phrase_tokens)
+                function_word_file=config.function_words or None)
 
 
 def _has_run(doc: Document, stage: str) -> bool:
@@ -357,9 +356,8 @@ def cmd_graph_mine(config: PipelineConfig, args) -> int:
               f" max_nodes={config.max_nodes})")
         for n, result in enumerate(results):
             members = ",".join(str(g) for g in result.graph_ids)
-            code = graph_tools.canonical_code(result.pattern)
             print(f"pattern {n}: support={result.support}"
-                  f" graphs=[{members}] {code}")
+                  f" graphs=[{members}] {result.code}")
         # Opened before the store write, so that an unwritable file fails
         # first, and without truncating, so that a failed store write
         # leaves it as it was; written after, as it shows the stored ids.

@@ -14,19 +14,23 @@ from .documents import Annotation, Document, content_lines, tokenize_text
 from .errors import LexiconError
 from .intervals import Interval
 
-DEFAULT_MAX_PHRASE_TOKENS = 12
-
 
 @dataclass
 class Lexicon:
-    """Immutable after load."""
+    """Immutable after load. Tagging looks up phrases of at most
+    ``max_phrase_tokens`` tokens; left unset, that is the token count of
+    the longest entry (0 when there is none), so every entry can match."""
 
     entries: dict[tuple, list[str]] = field(default_factory=dict)
     cui_to_tui: dict[str, list[str]] = field(default_factory=dict)
     token_to_pos: dict[str, list[str]] = field(default_factory=dict)
     function_words: frozenset = frozenset()
     cui_preferred: dict[str, str] = field(default_factory=dict)
-    max_phrase_tokens: int = DEFAULT_MAX_PHRASE_TOKENS
+    max_phrase_tokens: int | None = None
+
+    def __post_init__(self):
+        if self.max_phrase_tokens is None:
+            self.max_phrase_tokens = max(map(len, self.entries), default=0)
 
 
 @dataclass(frozen=True)
@@ -56,9 +60,7 @@ def _append_unique(bucket: list, value: str) -> None:
 
 
 def load_lexicon(term_file, tui_file=None, pos_file=None,
-                 function_word_file=None,
-                 max_phrase_tokens: int = DEFAULT_MAX_PHRASE_TOKENS
-                 ) -> Lexicon:
+                 function_word_file=None) -> Lexicon:
     """Build a Lexicon from tab-separated data files.
 
     term file: ``term<TAB>CUI[<TAB>preferred_term]``
@@ -122,8 +124,7 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
     return Lexicon(entries=entries, cui_to_tui=cui_to_tui,
                    token_to_pos=token_to_pos,
                    function_words=frozenset(function_words),
-                   cui_preferred=cui_preferred,
-                   max_phrase_tokens=max_phrase_tokens)
+                   cui_preferred=cui_preferred)
 
 
 def tag_sentence(tokens: list[tuple[str, Interval]],

@@ -9,7 +9,6 @@ flags). A value from any of these is parsed and validated the same way.
 import os
 from dataclasses import dataclass, fields
 
-from .concepts import DEFAULT_MAX_PHRASE_TOKENS
 from .documents import DEFAULT_ABBREVIATIONS, content_lines, read_text
 from .errors import ConfigError, ValidationError
 from .inline import OffsetConvention
@@ -29,7 +28,6 @@ class PipelineConfig:
     lexicon_pos: str = ""
     function_words: str = ""
     abbreviations: str = ""
-    max_phrase_tokens: int = DEFAULT_MAX_PHRASE_TOKENS
     min_support: int = 2
     max_nodes: int = 4
     convention: OffsetConvention = OffsetConvention.HALF_OPEN_0

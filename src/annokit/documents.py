@@ -47,19 +47,25 @@ _PROVENANCE_KEY = "_provenance"
 _PARENT_REFERENCE = ("section", "parent")
 
 
+def _check_text(type_name, value, attributes, provenance):
+    """Raise ValidationError unless the type, value, provenance and every
+    attribute key and value are ``str`` (exact class)."""
+    if not (type_name.__class__ is value.__class__ is provenance.__class__
+            is str):
+        raise ValidationError("type_name, value and provenance must be str")
+    for key, text in attributes.items():
+        if not (key.__class__ is text.__class__ is str):
+            raise ValidationError(f"attribute {key!r}={text!r} is not str")
+
+
 def _check_entry(length, span, type_name, value, attributes, provenance):
     """Raise ValidationError or BoundsError unless an annotation may enter
     a document of ``length`` characters: its type, value, provenance and
     attributes are all ``str``, its type is not empty, no attribute is
     named ``_provenance``, and its span ends inside the text."""
-    if not (type_name.__class__ is value.__class__ is provenance.__class__
-            is str):
-        raise ValidationError("type_name, value and provenance must be str")
+    _check_text(type_name, value, attributes, provenance)
     if not type_name:
         raise ValidationError("annotation type_name must be non-empty")
-    for key, text in attributes.items():
-        if not (key.__class__ is text.__class__ is str):
-            raise ValidationError(f"attribute {key!r}={text!r} is not str")
     if _PROVENANCE_KEY in attributes:
         raise ValidationError(
             f"attribute key {_PROVENANCE_KEY!r} is reserved for provenance")
@@ -80,7 +86,6 @@ class Annotation:
     attributes: dict = field(default_factory=dict)
     provenance: str = ""
     id: int | None = None
-    doc_id: int | None = None
 
     def __lt__(self, other):
         """Canonical order: start, then end, then id. A provisional id
@@ -125,7 +130,7 @@ class AnnotationIndex:
             ann.type_name = type_name
             self.by_type.setdefault(type_name, set()).add(ann.id)
 
-    def replace_id(self, old_id: int, new_id: int) -> Annotation:
+    def replace_id(self, old_id: int, new_id: int) -> None:
         """Rebind an annotation to a new id, e.g. when the store assigns a
         durable id for a provisional one. The tree entry stays where it
         is, so the caller must pick a ``new_id`` that keeps the annotation
@@ -136,7 +141,6 @@ class AnnotationIndex:
         ids.add(new_id)
         ann.id = new_id
         self.by_id[new_id] = ann
-        return ann
 
 
 class Document:
@@ -167,10 +171,14 @@ class Document:
         none, and mark it dirty."""
         _check_entry(len(self._content), ann.span, ann.type_name, ann.value,
                      ann.attributes, ann.provenance)
+        return self._attach(ann)
+
+    def _attach(self, ann: Annotation) -> int:
+        """``add_annotation`` without the check, for an annotation that
+        has passed it."""
         if ann.id is None:
             ann.id = self._next_provisional
             self._next_provisional -= 1
-        ann.doc_id = self.id
         self.index.add(ann)
         self.dirty.add(ann.id)
         return ann.id
@@ -324,7 +332,7 @@ def tokenize(doc: Document) -> list[Annotation]:
         out.append(Annotation(
             span=span, type_name="token", value=surface,
             attributes={"ordinal": str(ordinal)},
-            provenance="builtin-tokenizer", doc_id=doc.id,
+            provenance="builtin-tokenizer",
         ))
     return out
 
@@ -376,7 +384,7 @@ def split_sentences(doc: Document,
             out.append(Annotation(
                 span=Interval(start, end), type_name="sentence",
                 attributes={"ordinal": str(len(out))},
-                provenance="builtin-sentence-splitter", doc_id=doc.id,
+                provenance="builtin-sentence-splitter",
             ))
     return out
 
@@ -432,8 +440,8 @@ _UNESCAPES = {escaped[1]: char for char, escaped in _ESCAPES.items()}
 _ESCAPE_SEQUENCE = re.compile(r"\\(.?)", re.DOTALL)
 
 
-def _escape(text) -> str:
-    return _ESCAPED_CHAR.sub(lambda match: _ESCAPES[match.group()], str(text))
+def _escape(text: str) -> str:
+    return _ESCAPED_CHAR.sub(lambda match: _ESCAPES[match.group()], text)
 
 
 def _unescape(text: str) -> str:
@@ -471,10 +479,18 @@ def export_annotations(doc: Document, dest,
     escaped, so a round trip through import_external_annotations loses
     nothing. The document name, type and value are written unescaped, so
     a tab, LF or CR in one of them, or a name that makes the line a
-    comment, is a ``ValidationError``, raised before anything is written.
+    comment, is a ``ValidationError``, raised before anything is written;
+    so is a type, value, provenance or attribute that is not ``str``, as
+    a stored row may bring in.
     """
     lines = []
     for ann in doc.annotations(type_filter):
+        try:
+            _check_text(ann.type_name, ann.value, ann.attributes,
+                        ann.provenance)
+        except ValidationError as exc:
+            raise ValidationError(f"annotation {ann.id} of {doc.name!r}"
+                                  f" cannot be exported: {exc}") from None
         line = "\t".join((
             doc.name, str(ann.span.start), str(ann.span.end),
             ann.type_name, ann.value, _format_attributes(ann),
@@ -531,6 +547,6 @@ def import_external_annotations(doc: Document, src) -> int:
     new = [entry for entry in parsed if not any(
         (held.type_name, held.value, held.attributes, held.provenance)
         == entry[1:] for held in doc.index.tree.find(entry[0]))]
-    for span, type_name, value, attributes, provenance in new:
-        doc.annotate(span, type_name, value, attributes, provenance)
+    for entry in new:
+        doc._attach(Annotation(*entry))
     return len(new)

@@ -81,9 +81,10 @@ class LabeledGraph:
 
 # ``embeddings`` holds one list per graph, in ``graph_ids`` order: the
 # pattern's embeddings there, as ``find_subgraph_occurrences`` orders
-# them, each a tuple of host nodes indexed by pattern node.
+# them, each a tuple of host nodes indexed by pattern node. ``code`` is
+# the pattern's ``canonical_code``, computed once while mining.
 MinedPattern = namedtuple("MinedPattern",
-                          "pattern support graph_ids embeddings")
+                          "pattern support graph_ids embeddings code")
 
 
 # construction from annotations
@@ -335,12 +336,12 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
     triples = sorted(triple for triple, held in holders.items()
                      if len(held) >= min_support)
 
-    def found(pattern, members):
-        """The result for a pattern and its supporting graphs, each given
-        as (position, embeddings)."""
+    def found(pattern, code, members):
+        """The result for a pattern, its code and its supporting graphs,
+        each given as (position, embeddings)."""
         return MinedPattern(pattern, len(members),
                             [ids[n] for n, _ in members],
-                            [embeddings for _, embeddings in members])
+                            [embeddings for _, embeddings in members], code)
 
     mined = {}
     frontier = []
@@ -351,7 +352,8 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
         pattern = LabeledGraph(nodes=[label], graph_type="pattern")
         members = [(n, [(h,) for h in hosts[n].by_label[label]])
                    for n in held]
-        mined[canonical_code(pattern)] = found(pattern, members)
+        code = canonical_code(pattern)
+        mined[code] = found(pattern, code, members)
         frontier.append((pattern, members))
 
     while frontier:
@@ -379,13 +381,12 @@ def mine_frequent_subgraphs(graphs: list[LabeledGraph], min_support: int,
                             break
                 mined[code] = None  # infrequent candidates stay blocked
                 if len(members) >= min_support:
-                    mined[code] = found(candidate, members)
+                    mined[code] = found(candidate, code, members)
                     next_frontier.append((candidate, members))
         frontier = next_frontier
 
     results = [entry for entry in mined.values() if entry is not None]
-    results.sort(key=lambda r: (len(r.pattern.nodes),
-                                canonical_code(r.pattern)))
+    results.sort(key=lambda r: (len(r.pattern.nodes), r.code))
     return results
 
 
@@ -488,7 +489,7 @@ def persist_mining_results(store: CdmStore, results: list[MinedPattern]
     for result in results:
         pattern = result.pattern
         if not pattern.name:
-            pattern.name = f"pattern-{canonical_code(pattern)}"
+            pattern.name = f"pattern-{result.code}"
         pattern.graph_type = "sig_subgraph"
         patterns.append((pattern.name, pattern.graph_type, _links(pattern),
                          result.support, {"graph_ids": ",".join(

@@ -13,7 +13,8 @@ from .errors import ValidationError
 
 @dataclass(frozen=True, order=True, slots=True)
 class Interval:
-    """A half-open character (or token) span. start <= end, both >= 0."""
+    """A half-open character (or token) span. start <= end, both >= 0.
+    Intervals order by start, then end: the canonical order."""
 
     start: int
     end: int
@@ -122,11 +123,3 @@ def inverse(rel: AllenRelation) -> AllenRelation:
     """The relation j bears to i when i bears ``rel`` to j."""
     return _INVERSES[rel]
 
-
-def canonical_compare(a: Interval, b: Interval) -> int:
-    """-1/0/1 under the canonical ordering: by start, ties by end."""
-    if (a.start, a.end) < (b.start, b.end):
-        return -1
-    if (a.start, a.end) > (b.start, b.end):
-        return 1
-    return 0

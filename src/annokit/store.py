@@ -437,7 +437,7 @@ class CdmStore:
         new_ids, rewritten = flushed
         doc.id = doc_id
         for old_id, new_id in new_ids.items():
-            doc.index.replace_id(old_id, new_id).doc_id = doc_id
+            doc.index.replace_id(old_id, new_id)
         for ann, attributes in rewritten:
             ann.attributes = attributes
         doc.dirty.clear()
@@ -569,7 +569,7 @@ class CdmStore:
                     if span is None or span.start != start or span.end != end:
                         span = Interval(start, end)
                     add(Annotation(span, type_name, share(value, value),
-                                   attributes, provenance, ann_id, doc_id))
+                                   attributes, provenance, ann_id))
             finally:
                 cur.close()
             return doc

@@ -80,7 +80,6 @@ class IntervalTree:
 
     def __init__(self):
         self._entries = []
-        self._nodes = 0
         # Longest span ever inserted; never shrinks, so it stays a bound.
         self._max_len = 0
         # Entries scanned by the most recent query(), for pruning checks.
@@ -91,8 +90,8 @@ class IntervalTree:
 
     @property
     def node_count(self) -> int:
-        """Number of distinct intervals stored."""
-        return self._nodes
+        """Number of distinct intervals stored; one pass over the entries."""
+        return len({entry[:2] for entry in self._entries})
 
     def _run(self, interval):
         """Index range of the entries stored at exactly this interval."""
@@ -124,7 +123,7 @@ class IntervalTree:
         # pair equal to an entry's key prefix sorts before it. No entry then
         # shares the interval, so there is no duplicate to look for.
         if not entries or (s, e) > entries[-1]:
-            k = lo = hi = len(entries)
+            k = len(entries)
         elif (entries[-1][0] == s and entries[-1][1] == e
               and entries[-1][2] < payload):
             # The tie of an in-order load: last in its run, and no
@@ -139,14 +138,11 @@ class IntervalTree:
                     f"entry ({interval}, {payload!r}) already present"
                 )
         entries.insert(k, (s, e, payload, interval))
-        if lo == hi:
-            self._nodes += 1
         if e - s > self._max_len:
             self._max_len = e - s
 
     def remove(self, interval: Interval, payload) -> None:
-        """Drop one entry. The interval stops counting as a node when its
-        last payload goes."""
+        """Drop one entry."""
         lo, hi = self._run(interval)
         if lo == hi:
             raise NotFoundError(f"no entries at {interval}")
@@ -157,8 +153,6 @@ class IntervalTree:
                 f"payload {payload!r} not present at {interval}"
             )
         del self._entries[k]
-        if hi - lo == 1:
-            self._nodes -= 1
 
     # queries
 
@@ -202,7 +196,6 @@ class IntervalTree:
     def audit(self) -> dict:
         """Verify every structural invariant; raise ValidationError on the
         first violation, else return summary statistics."""
-        nodes = 0
         previous = None
         for s, e, payload, iv in self._entries:
             key = (s, e, payload)
@@ -214,11 +207,5 @@ class IntervalTree:
                 raise ValidationError(
                     f"{iv} is longer than the length bound {self._max_len}"
                 )
-            if previous is None or previous[:2] != (s, e):
-                nodes += 1
             previous = key
-        if nodes != self._nodes:
-            raise ValidationError(
-                f"node count mismatch: tracked {self._nodes}, found {nodes}"
-            )
-        return {"nodes": nodes, "entries": len(self._entries)}
+        return {"nodes": self.node_count, "entries": len(self._entries)}

@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from annokit import cli
+from annokit import graphs as graph_tools
 from annokit.cli import main
 from annokit.config import load_config
 from annokit.graphs import (
@@ -198,12 +199,14 @@ class TestConfig:
         err = capsys.readouterr().err
         assert err.count("error:") == 1 and str(terms) in err
 
-    def test_jobs_is_gone(self, ws, capsys):
-        assert run(ws, "--jobs", "2", "init") == 1
+    @pytest.mark.parametrize("setting", ["jobs", "max_phrase_tokens"])
+    def test_removed_setting_is_gone(self, ws, capsys, setting):
+        flag = "--" + setting.replace("_", "-")
+        assert run(ws, flag, "2", "init") == 1
         assert capsys.readouterr().err.startswith("usage: annokit")
-        add_cfg(ws, jobs="2")
+        add_cfg(ws, **{setting: "12"})
         assert run(ws, "init") == 1
-        assert "unknown setting 'jobs'" in capsys.readouterr().err
+        assert f"unknown setting {setting!r}" in capsys.readouterr().err
 
 
 class TestUsage:
@@ -340,6 +343,20 @@ class TestImportAndRun:
         cuis = {a.value for a in doc.annotations("CUI")}
         assert cuis == {"C0054946", "C0079744", "C0007634"}
         store.close()
+
+    def test_concepts_tag_a_term_of_thirteen_tokens(self, ws):
+        term = " ".join(f"w{k}" for k in range(13))
+        run(ws, "init")
+        terms = ws / "terms.tsv"
+        terms.write_text(f"{term}\tC0000013\n", encoding="utf-8")
+        add_cfg(ws, lexicon_terms=str(terms))
+        path = write_doc(ws, text=f"Seen {term} today.")
+        assert run(ws, "run", path, "--stages",
+                   "tokenize,sentences,concepts") == 0
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("doc1.txt"))
+        assert [(a.value, doc.content[a.span.start:a.span.end])
+                for a in doc.annotations("CUI")] == [("C0000013", term)]
 
     def test_graphs_need_dependencies(self, ws, capsys):
         run(ws, "init")
@@ -754,6 +771,41 @@ class TestGraphMine:
                 for n, (labels, edges) in enumerate(graphs)])
         assert run(ws, "graph-mine", *options) == 0
         return mining_rows(ws)
+
+    def test_listing_and_persisting_read_the_mined_codes(
+            self, ws, capsys, monkeypatch):
+        """Each pattern is coded once, while it is mined: once mining has
+        returned, the listing, the stored names and the --out file make
+        no canonical_code call."""
+        mine = graph_tools.mine_frequent_subgraphs
+
+        def forbidden(graph):
+            raise AssertionError("canonical_code called after mining")
+
+        def mine_then_forbid(*args, **kwargs):
+            results = mine(*args, **kwargs)
+            assert [r.code for r in results] == [
+                graph_tools.canonical_code(r.pattern) for r in results]
+            monkeypatch.setattr(graph_tools, "canonical_code", forbidden)
+            return results
+
+        monkeypatch.setattr(graph_tools, "mine_frequent_subgraphs",
+                            mine_then_forbid)
+        out = ws / "patterns.tsv"
+        self.mine_stored(
+            ws, [("aba", [(0, 1, "x"), (2, 1, "x")]), ("ba", [(1, 0, "x")])],
+            ["--min-support", "1", "--max-nodes", "3", "--out", str(out)])
+        listed = [line.rsplit(" ", 1)[1]
+                  for line in capsys.readouterr().out.splitlines()
+                  if line.startswith("pattern ")]
+        with CdmStore(str(ws / "store.db")) as store:
+            names = [name for name, in store.connection.execute(
+                "SELECT name FROM graphs WHERE type = 'sig_subgraph'"
+                " ORDER BY id")]
+        assert len(listed) > 3
+        assert names == [f"pattern-{code}" for code in listed]
+        assert [g.name for g in graph_tools.read_graph_file(str(out))] \
+            == names
 
     def test_stored_mining_rows(self, ws, capsys):
         sig_subgraph, lg_sigsub = self.mine_stored(

@@ -136,6 +136,21 @@ def test_max_phrase_tokens_caps_lookup():
     assert tag_sentence(lay_out(["a", "b", "c"]), lexicon) == []
 
 
+def test_an_unset_window_is_the_longest_entry():
+    assert lex([("a b c", "C3"), ("d", "C1")],
+               max_phrase_tokens=None).max_phrase_tokens == 3
+    assert Lexicon().max_phrase_tokens == 0
+    assert tag_sentence(lay_out(["a", "b"]), Lexicon()) == []
+
+
+def test_a_loaded_lexicon_tags_a_term_of_thirteen_tokens():
+    # One token longer than the window's former default of twelve.
+    words = [f"w{k}" for k in range(13)]
+    lexicon = load_lexicon(io.StringIO(f"{' '.join(words)}\tC13\nw0\tC0\n"))
+    got = tag_sentence(lay_out(["x", *words, "y"]), lexicon)
+    assert ranges(got) == [(1, 14, ("C13",))]
+
+
 def test_equal_length_overlaps_both_kept():
     lexicon = lex([("a b", "C1"), ("b c", "C2")])
     got = tag_sentence(lay_out(["a", "b", "c"]), lexicon)

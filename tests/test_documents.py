@@ -7,6 +7,7 @@ import pytest
 from hypothesis import example, given
 from hypothesis import strategies as st
 
+from annokit import documents
 from annokit.documents import (
     Annotation,
     Document,
@@ -393,6 +394,28 @@ def test_import_skips_lines_the_document_held_before():
     assert [(a.span, a.provenance) for a in doc.annotations()] == [
         (Interval(0, 5), "ext"), (Interval(0, 5), ""),
         (Interval(6, 10), ""), (Interval(6, 10), "")]
+
+
+def test_import_checks_each_line_once(monkeypatch):
+    checked = []
+    check = documents._check_entry
+
+    def counting(*args):
+        checked.append(args)
+        check(*args)
+
+    monkeypatch.setattr(documents, "_check_entry", counting)
+    doc = make_doc("short text", name="d")
+    data = ("# header\n"
+            "d\t0\t5\ttoken\tshort\tk=v;_provenance=ext\n"
+            + "d\t6\t10\ttoken\ttext\t\n" * 2)
+    assert import_external_annotations(doc, io.StringIO(data)) == 3
+    assert len(checked) == 3
+    assert doc.dirty == set(doc.index.by_id)
+    assert [(a.span, a.attributes, a.provenance, a.id < 0)
+            for a in doc.annotations()] == [
+        (Interval(0, 5), {"k": "v"}, "ext", True),
+        (Interval(6, 10), {}, "", True), (Interval(6, 10), {}, "", True)]
 
 
 def test_import_accepts_comments_and_blanks():

@@ -6,7 +6,6 @@ from annokit.errors import ValidationError
 from annokit.intervals import (
     AllenRelation,
     Interval,
-    canonical_compare,
     holds,
     inverse,
     relate,
@@ -140,11 +139,12 @@ def test_inverse_is_involution():
         assert inverse(inverse(rel)) == rel
 
 
-def test_canonical_compare_orders_by_start_then_end():
-    assert canonical_compare(Interval(1, 9), Interval(2, 3)) == -1
-    assert canonical_compare(Interval(2, 3), Interval(2, 5)) == -1
-    assert canonical_compare(Interval(2, 5), Interval(2, 5)) == 0
-    assert canonical_compare(Interval(4, 5), Interval(3, 9)) == 1
+def test_intervals_order_by_start_then_end():
+    assert Interval(1, 9) < Interval(2, 3)
+    assert Interval(2, 3) < Interval(2, 5)
+    assert not Interval(2, 5) < Interval(2, 5)
+    assert not Interval(4, 5) < Interval(3, 9)
+    assert Interval(3, 9) < Interval(4, 5)
 
 
 def test_relation_tag_parsing():

@@ -126,7 +126,6 @@ def test_marshal_assigns_durable_ids():
     store.marshal_document(doc)
     assert doc.id is not None and doc.id > 0
     assert first.id > 0 and second.id > 0
-    assert first.doc_id == doc.id
     assert doc.dirty == set()
     # index still coherent, tie order intact
     got = doc.annotations_satisfying(AllenRelation.EQ, Interval(0, 3))
@@ -395,6 +394,21 @@ def stored_with_data(*texts):
             "UPDATE annotations SET data = ? WHERE id = ?",
             zip(texts, sorted(doc.index.by_id)))
     return store, doc.id
+
+
+@pytest.mark.parametrize("data", [
+    {"_provenance": 1}, {"_provenance": 0}, {"_provenance": True},
+    {"k": 2}], ids=["provenance-1", "provenance-0", "provenance-True",
+                    "attribute-2"])
+def test_export_refuses_a_stored_field_that_is_not_text(data, tmp_path):
+    # The first annotation is plain text; the second brings ``data`` in.
+    store, doc_id = stored_with_data("{}", canonical_json(data))
+    doc = store.unmarshal_document(doc_id)
+    dest = tmp_path / "out.ann"
+    dest.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValidationError):
+        export_annotations(doc, str(dest))
+    assert dest.read_text(encoding="utf-8") == "kept\n"
 
 
 @pytest.mark.parametrize("text", [
