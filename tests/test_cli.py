@@ -1044,7 +1044,7 @@ def clean_dump():
         return dump(ws)
 
 
-# The session takes about 430 ticks of 20 sqlite VM steps.
+# The session takes about 410 ticks of 20 sqlite VM steps.
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=450))
 def test_session_interrupted_at_any_tick_converges_on_rerun(tick):

@@ -1,13 +1,15 @@
 import ast
 import gc
+import importlib.util
 import json
 import pathlib
 import random
+import re
 import sqlite3
 import threading
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.stateful import (
     RuleBasedStateMachine,
@@ -75,6 +77,39 @@ def test_schema_ddl_mentions_every_table():
     ddl = schema_ddl()
     for table in ALL_TABLES:
         assert table in ddl
+    assert "idx_annotations_type_value" not in ddl
+
+
+def index_names(store):
+    return {r[0] for r in store.connection.execute(
+        "SELECT name FROM sqlite_master WHERE type = 'index'")}
+
+
+def test_init_schema_drops_the_type_value_index_of_an_old_store(tmp_path):
+    path = tmp_path / "old.db"
+    with CdmStore(path) as store:
+        store.init_schema()
+        for d in range(3):
+            doc = Document(f"d{d}", "w" * 20)
+            for s in range(0, 20, 2):
+                doc.annotate(Interval(s, s + 1), "CUI", f"C{s % 3}")
+            store.marshal_document(doc)
+        store.connection.execute(
+            "CREATE INDEX idx_annotations_type_value"
+            " ON annotations (type_id, value)")
+        store.connection.commit()
+        rows = store.connection.execute(
+            "SELECT * FROM annotations ORDER BY id").fetchall()
+        refs = store.query_by_value("CUI", "C1")
+    with CdmStore(path) as store:
+        assert "idx_annotations_type_value" in index_names(store)
+        assert store.init_schema() == []
+        assert "idx_annotations_type_value" not in index_names(store)
+        assert "idx_annotations_doc_span" in index_names(store)
+        assert store.connection.execute(
+            "SELECT * FROM annotations ORDER BY id").fetchall() == rows
+        assert len(refs) == 9
+        assert store.query_by_value("CUI", "C1") == refs
 
 
 def test_find_graph_searches_the_name_index():
@@ -103,6 +138,51 @@ def test_canonical_json_equals_json_dumps(mapping):
     assert canonical_json(mapping) == json.dumps(
         mapping or {}, sort_keys=True, separators=(",", ":"),
         ensure_ascii=False)
+
+
+def unserialisable():
+    return {"b": "text", "a": object()}
+
+
+def circular():
+    mapping = {"a": "text"}
+    mapping["self"] = mapping
+    return mapping
+
+
+def assert_raises_as_json_dumps(encode, build):
+    with pytest.raises(Exception) as want:
+        json.dumps(build(), sort_keys=True, separators=(",", ":"),
+                   ensure_ascii=False)
+    mapping = build()
+    with pytest.raises(want.type, match=re.escape(str(want.value))):
+        encode(mapping)
+    # the failed encode leaves nothing behind: the mapping, mended,
+    # encodes again
+    mapping.pop("a" if want.type is TypeError else "self")
+    assert encode(mapping) == json.dumps(mapping, sort_keys=True,
+                                         separators=(",", ":"))
+
+
+@pytest.mark.parametrize("build", [unserialisable, circular])
+def test_canonical_json_raises_what_json_dumps_raises(build):
+    assert_raises_as_json_dumps(canonical_json, build)
+
+
+def test_canonical_json_without_the_c_encoder(monkeypatch):
+    """Where ``json`` has no C encoder, a second copy of the store module
+    encodes through ``JSONEncoder.encode``, with the same output and the
+    same errors."""
+    monkeypatch.setattr(json.encoder, "c_make_encoder", None)
+    spec = importlib.util.find_spec("annokit.store")
+    copy = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(copy)
+    assert copy._encode is None
+    mapping = {"b": "\u00e9\"\u2028", "a": "1"}
+    assert copy.canonical_json(mapping) == canonical_json(mapping)
+    assert copy.canonical_json(None) == "{}"
+    for build in (unserialisable, circular):
+        assert_raises_as_json_dumps(copy.canonical_json, build)
 
 
 def test_marshal_counts_rows():
@@ -490,6 +570,54 @@ def test_checkpoint_conflict_rolls_back_and_keeps_dirty():
     assert row == ("old-a",)
 
 
+class CountingConnection:
+    """A connection that counts its execute and executemany calls."""
+
+    def __init__(self, conn):
+        self._conn = conn
+        self.calls = 0
+
+    def __getattr__(self, name):
+        return getattr(self._conn, name)
+
+    def __enter__(self):
+        return self._conn.__enter__()
+
+    def __exit__(self, *exc_info):
+        return self._conn.__exit__(*exc_info)
+
+    def execute(self, *args):
+        self.calls += 1
+        return self._conn.execute(*args)
+
+    def executemany(self, *args):
+        self.calls += 1
+        return self._conn.executemany(*args)
+
+
+def checkpoint_calls(fresh):
+    """execute and executemany calls of one checkpoint of ``fresh`` new
+    annotations of an existing type."""
+    conn = CountingConnection(sqlite3.connect(":memory:"))
+    store = CdmStore(conn)
+    store.init_schema()
+    doc = Document("calls", "w" * 100)
+    doc.annotate(Interval(0, 1), "token")
+    store.marshal_document(doc)
+    for k in range(fresh):
+        doc.annotate(Interval(k % 100, k % 100), "token", str(k))
+    conn.calls = 0
+    assert store.checkpoint(doc) == fresh
+    calls = conn.calls
+    assert len(store.unmarshal_document(doc.id).annotations()) == fresh + 1
+    return calls
+
+
+def test_checkpoint_calls_do_not_grow_with_its_rows():
+    # set_trace_callback cannot show this: it sees each executemany row
+    assert checkpoint_calls(2000) == checkpoint_calls(10)
+
+
 def test_query_by_value_matches_linear_scan():
     store = fresh_store()
     rng = random.Random(12)
@@ -762,6 +890,39 @@ def test_a_stored_section_names_its_parent_by_durable_id():
     assert opened.annotations("PHI")[0].attributes == {"parent": provisional}
 
 
+@settings(max_examples=200, deadline=None)
+@given(text=st.text() | st.integers(-9, 9).map(str) | st.sampled_from(
+    ("+3", "-03", " -3", "-3 ", "\u0663", "-\u0663", "-\u00b3", "-3_0")))
+@example(text="-3")
+@example(text="٣")
+@example(text="-³")
+@example(text="-6")
+def test_a_parent_text_is_rewritten_only_when_it_is_a_provisional_id(text):
+    """The stored parent is the durable id of provisional id ``old`` of
+    this flush when ``text == str(old)``, and ``text`` itself otherwise,
+    whether the section itself is new or stored before. The new section
+    is one of the flush: "-7" names it."""
+    store = fresh_store()
+    doc = Document("parents", "w" * 10)
+    stored = doc.annotate(Interval(0, 10), "section", "", {"parent": "x"})
+    store.marshal_document(doc)
+    fresh = [doc.annotate(Interval(k, 9), "section") for k in range(5)]
+    child = doc.annotate(Interval(5, 5), "section", "", {"parent": text})
+    fresh.append(child)
+    provisional = [ann.id for ann in fresh]
+    assert provisional == [-2, -3, -4, -5, -6, -7]
+    doc.update_annotation(stored.id, attributes={"parent": text})
+    store.checkpoint(doc)
+    durable = {str(old): str(ann.id) for old, ann in zip(provisional, fresh)}
+    want = durable.get(text, text)
+    for ann in (child, stored):
+        data, = store.connection.execute(
+            "SELECT data FROM annotations WHERE id = ?", (ann.id,)
+        ).fetchone()
+        assert json.loads(data) == {"parent": want}
+        assert ann.attributes == {"parent": want}
+
+
 def test_type_ids_of_a_rolled_back_checkpoint_are_forgotten(tmp_path):
     path = tmp_path / "store.db"
     with CdmStore(path) as store:
@@ -898,6 +1059,32 @@ class DocumentStoreMachine(RuleBasedStateMachine):
     @rule()
     def checkpoint(self):
         self.store.checkpoint(self.doc)
+        self.written()
+
+    @precondition(lambda self: self.doc.id is not None)
+    @rule(spans=st.lists(MACHINE_SPANS, min_size=50, max_size=60),
+          sections=st.sets(st.integers(0, 49), min_size=2, max_size=10))
+    def checkpoint_a_batch(self, spans, sections):
+        """Fifty or more new annotations in one checkpoint. Those at
+        ``sections`` are sections, each nested in the one before it."""
+        batch, parent = [], None
+        for k, span in enumerate(spans):
+            if k in sections:
+                attributes = {} if parent is None else {
+                    "parent": str(parent.id)}
+                ann = self.doc.annotate(span, "section", "", attributes)
+                batch.append((ann, parent))
+                parent = ann
+            else:
+                ann = self.doc.annotate(span, "token", str(k))
+                batch.append((ann, None))
+            self.oracle.append([ann, span, ann.type_name, ann.value,
+                                dict(ann.attributes), ""])
+        self.store.checkpoint(self.doc)
+        for (_, parent), entry in zip(batch, self.oracle[-len(batch):]):
+            if parent is not None:
+                assert parent.id > 0
+                entry[4] = {"parent": str(parent.id)}
         self.written()
 
     @precondition(lambda self: self.doc.id is not None and self.doc.dirty)
