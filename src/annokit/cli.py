@@ -86,8 +86,10 @@ def _parse_span(text: str) -> Interval:
 
 def cmd_init(config: PipelineConfig, args) -> int:
     with _open_store(config) as store:
-        created = store.init_schema()
+        created, moved = store.init_schema()
         print(f"{len(created)} tables created")
+        if moved is not None:
+            print(f"migrated: {moved} provenances moved to their own column")
     return EXIT_OK
 
 
@@ -442,7 +444,7 @@ def _build_parser() -> argparse.ArgumentParser:
                         help="offset convention for display")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p = sub.add_parser("init", help="create the store schema")
+    p = sub.add_parser("init", help="create or migrate the store schema")
     p.set_defaults(handler=cmd_init)
 
     p = sub.add_parser("import", help="import documents or annotations")

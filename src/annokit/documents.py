@@ -38,8 +38,8 @@ DEFAULT_ABBREVIATIONS = frozenset(
     {"dr.", "mr.", "mrs.", "ms.", "vs.", "e.g.", "i.e."}
 )
 
-# Reserved attribute key that carries provenance through the line format
-# and the store, so no annotation may hold it as an attribute.
+# Reserved attribute key that carries provenance through the TSV format
+# (the store has a column), so no annotation may hold it as an attribute.
 _PROVENANCE_KEY = "_provenance"
 
 # The one attribute that holds the id of another annotation: a section's
@@ -48,14 +48,17 @@ _PARENT_REFERENCE = ("section", "parent")
 
 
 def _check_text(type_name, value, attributes, provenance):
-    """Raise ValidationError unless the type, value, provenance and every
-    attribute key and value are ``str`` (exact class)."""
+    """Raise ValidationError unless every text is ``str`` (exact class)
+    and no attribute is named ``_provenance``."""
     if not (type_name.__class__ is value.__class__ is provenance.__class__
             is str):
         raise ValidationError("type_name, value and provenance must be str")
     for key, text in attributes.items():
         if not (key.__class__ is text.__class__ is str):
             raise ValidationError(f"attribute {key!r}={text!r} is not str")
+    if _PROVENANCE_KEY in attributes:
+        raise ValidationError(
+            f"attribute key {_PROVENANCE_KEY!r} is reserved for provenance")
 
 
 def _check_entry(length, span, type_name, value, attributes, provenance):
@@ -66,9 +69,6 @@ def _check_entry(length, span, type_name, value, attributes, provenance):
     _check_text(type_name, value, attributes, provenance)
     if not type_name:
         raise ValidationError("annotation type_name must be non-empty")
-    if _PROVENANCE_KEY in attributes:
-        raise ValidationError(
-            f"attribute key {_PROVENANCE_KEY!r} is reserved for provenance")
     if span.end > length:
         raise BoundsError(f"span {span} exceeds document length {length}")
 
@@ -79,7 +79,7 @@ def canonical_key(ann):
     return ann.span.start, ann.span.end, ann.id < 0, abs(ann.id)
 
 
-@dataclass(eq=True)
+@dataclass(eq=True, slots=True)
 class Annotation:
     """One stand-off annotation. ``value`` is the principal indexed datum
     (a CUI, POS tag, section name, ...); everything else rides in
@@ -485,8 +485,8 @@ def export_annotations(doc: Document, dest,
     nothing. The document name, type and value are written unescaped, so
     a tab, LF or CR in one of them, or a name that makes the line a
     comment, is a ``ValidationError``, raised before anything is written;
-    so is a type, value, provenance or attribute that is not ``str``, as
-    a stored row may bring in.
+    so is a type, value, provenance or attribute that is not ``str``, or
+    an attribute named ``_provenance``, as a stored row may bring in.
     """
     lines = []
     for ann in doc.annotations(type_filter):

@@ -4,9 +4,9 @@ ground truth, and graphs.
 The schema is fourteen tables. Every table carries a catch-all ``data``
 column holding a canonical key-sorted JSON map, so serializing the same
 attributes twice yields identical bytes and dirty detection reduces to a
-string comparison. SQLite is the bundled engine; anything exposing the
-same DB-API connection surface would do, since the SQL sticks to plain
-DDL/DML plus unique indexes.
+string comparison; provenance has its own column. SQLite is the bundled
+engine; anything exposing the same DB-API connection surface would do,
+since the SQL sticks to plain DDL/DML plus unique indexes.
 
 Documents flush through a dirty set: marshal writes the document row and
 dirty annotations, checkpoint writes dirty annotations only. An import
@@ -54,6 +54,9 @@ from .errors import (
 )
 from .intervals import Interval
 
+# Declared last, where ALTER TABLE puts it in a store written before it.
+_PROVENANCE_COLUMN = "provenance TEXT NOT NULL DEFAULT ''"
+
 # Order matters only for readable DDL dumps; creation is dependency-free
 # because foreign keys are by convention (ids), not enforced constraints.
 _TABLES = {
@@ -78,7 +81,7 @@ _TABLES = {
             data TEXT NOT NULL DEFAULT '{}',
             content TEXT NOT NULL
         )""",
-    "annotations": """
+    "annotations": f"""
         CREATE TABLE IF NOT EXISTS annotations (
             id INTEGER PRIMARY KEY,
             document_id INTEGER NOT NULL,
@@ -86,7 +89,8 @@ _TABLES = {
             "end" INTEGER NOT NULL,
             type_id INTEGER NOT NULL,
             value TEXT NOT NULL DEFAULT '',
-            data TEXT NOT NULL DEFAULT '{}'
+            data TEXT NOT NULL DEFAULT '{{}}',
+            {_PROVENANCE_COLUMN}
         )""",
     "annotation_types": """
         CREATE TABLE IF NOT EXISTS annotation_types (
@@ -265,6 +269,20 @@ def _loads(text):
     return value if end == len(text) else json.loads(text)
 
 
+def _provenance_moved(conn):
+    """(data, provenance, id) for each old annotation row holding a text
+    "_provenance" (sqlite's ``json_extract`` would cut it at NUL)."""
+    for ann_id, data in conn.execute(
+            "SELECT id, data FROM annotations").fetchall():
+        try:
+            attributes = _loads(data)
+            provenance = attributes.pop(_PROVENANCE_KEY)
+        except (ValueError, TypeError, AttributeError, KeyError):
+            continue
+        if provenance.__class__ is str:
+            yield canonical_json(attributes), provenance, ann_id
+
+
 @contextlib.contextmanager
 def _bulk_load():
     """Run the body with no cyclic-GC passes. The objects a load builds
@@ -293,6 +311,11 @@ def _sqlite_errors_as_store_errors(cls):
             try:
                 return method(self, *args, **kwargs)
             except sqlite3.Error as exc:
+                if str(exc) in ("no such column: provenance", "table "
+                                "annotations has no column named provenance"):
+                    raise MigrationRequiredError(
+                        f"{method.__name__}: the store has no provenance"
+                        " column; run `annokit init` to migrate it") from exc
                 raise StoreError(f"{method.__name__}: {exc}") from exc
         return wrapper
 
@@ -362,14 +385,27 @@ class CdmStore:
                     f"expected {expected}"
                 )
 
-    def init_schema(self) -> list[str]:
-        """Create any missing tables and indexes. Returns the names of
-        tables created by this call; a repeat run returns an empty list.
-        A same-named table with foreign columns aborts with
-        MigrationRequiredError before anything is touched."""
-        before = self._table_names()
-        self._verify_columns(before)
+    def init_schema(self) -> tuple[list[str], int | None]:
+        """Create any missing tables and indexes, and give a store written
+        before the provenance column that column, moving each provenance
+        out of ``data``, in one transaction. Returns (names of the tables
+        created, provenances moved or None if no column was added); a
+        repeat run returns ``([], None)``. A same-named table with foreign
+        columns aborts with MigrationRequiredError, changing nothing."""
+        before, moved = self._table_names(), None
         with self._conn:
+            self._conn.execute("BEGIN")
+            migrate = "annotations" in before and not self._conn.execute(
+                "SELECT 1 FROM pragma_table_info('annotations')"
+                " WHERE name = 'provenance'").fetchone()
+            if migrate:
+                self._conn.execute(
+                    "ALTER TABLE annotations ADD COLUMN " + _PROVENANCE_COLUMN)
+            self._verify_columns(before)
+            if migrate:
+                moved = self._conn.executemany(
+                    "UPDATE annotations SET data = ?, provenance = ?"
+                    " WHERE id = ?", _provenance_moved(self._conn)).rowcount
             for ddl in _TABLES.values():
                 self._conn.execute(ddl)
             for ddl in _INDEXES:
@@ -377,7 +413,7 @@ class CdmStore:
             # Stores made before query_by_value scanned carry this index.
             self._conn.execute(
                 "DROP INDEX IF EXISTS idx_annotations_type_value")
-        return sorted(self._table_names() - before)
+        return sorted(self._table_names() - before), moved
 
     # documents and annotations
 
@@ -426,18 +462,16 @@ class CdmStore:
                 if new_id is not None:
                     attributes = {**attributes, parent: str(new_id)}
                     rewritten.append((ann, attributes))
-            if ann.provenance:
-                attributes = {**attributes, _PROVENANCE_KEY: ann.provenance}
             return (doc_id, ann.span.start, ann.span.end,
                     type_ids[ann.type_name], ann.value,
-                    canonical_json(attributes), ann_id)
+                    canonical_json(attributes), ann.provenance, ann_id)
 
         for ann in pending:
             if ann.id > 0:
                 cur = self._conn.execute(
                     'UPDATE annotations SET document_id = ?, start = ?, '
-                    '"end" = ?, type_id = ?, value = ?, data = ? '
-                    'WHERE id = ?', row(ann, ann.id))
+                    '"end" = ?, type_id = ?, value = ?, data = ?, '
+                    'provenance = ? WHERE id = ?', row(ann, ann.id))
                 if cur.rowcount == 0:
                     raise ConflictError(
                         f"annotation {ann.id} vanished from the store; "
@@ -445,8 +479,8 @@ class CdmStore:
                     )
         if fresh:
             self._conn.executemany(
-                'INSERT INTO annotations (document_id, start, "end", type_id,'
-                ' value, data, id) VALUES (?, ?, ?, ?, ?, ?, ?)',
+                'INSERT INTO annotations (document_id, start, "end", type_id, '
+                'value, data, provenance, id) VALUES (?, ?, ?, ?, ?, ?, ?, ?)',
                 map(row, fresh, new_ids.values()))
         return new_ids, rewritten
 
@@ -563,32 +597,26 @@ class CdmStore:
             # Rows stream from the cursor, one at a time; it is closed on
             # every exit, so a failed open holds no read on the file.
             cur = self._conn.execute(
-                'SELECT id, start, "end", type_id, value, data'
+                'SELECT id, start, "end", type_id, value, data, provenance'
                 ' FROM annotations WHERE document_id = ?'
                 ' ORDER BY start, "end", id', (doc_id,))
             try:
                 # Rows of one span are adjacent, so they share one (frozen)
-                # Interval. Equal value and provenance texts share one
-                # str, as type names do through type_names. Nothing checks
-                # that a provenance is a str; one that is not is kept as
-                # decoded, so 1 and True stay apart and a list loads.
+                # Interval; equal value and provenance texts share one
+                # object, as type names do through type_names.
                 span = None
                 texts = {}
                 share = texts.setdefault
                 add = doc.index.add
-                for ann_id, start, end, type_id, value, ann_data in cur:
+                for ann_id, start, end, type_id, value, data, prov in cur:
                     type_name = type_names.get(type_id)
                     if type_name is None:
                         raise NotFoundError(
                             f"unknown annotation type id {type_id}")
-                    attributes = _loads(ann_data)
-                    provenance = attributes.pop(_PROVENANCE_KEY, "")
-                    if provenance.__class__ is str:
-                        provenance = share(provenance, provenance)
                     if span is None or span.start != start or span.end != end:
                         span = Interval(start, end)
                     add(Annotation(span, type_name, share(value, value),
-                                   attributes, provenance, ann_id))
+                                   _loads(data), share(prov, prov), ann_id))
             finally:
                 cur.close()
             return doc

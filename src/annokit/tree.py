@@ -35,7 +35,7 @@ revisit round (seed 5, one query per relation on each of 20 documents)
 CONTAINS, FINISHED_BY, MEETS and OVERLAPS take about 1.9, 1.9, 1.8 and
 1.4 ms, against 0.13-0.25 ms each for DURING, STARTS, STARTED_BY,
 FINISHES, MET_BY and OVERLAPPED_BY. Bounding those four by what they
-return is ROADMAP.md item 2 ("Every Allen relation costs what it
+return is ROADMAP.md item 1 ("Every Allen relation costs what it
 returns"). ``within`` scans exactly the entries that start inside its
 interval, and ``starting_from`` only the entries its caller takes.
 """

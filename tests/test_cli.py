@@ -119,7 +119,8 @@ class TestInit:
         assert run(ws, "init") == 0
         assert "14 tables created" in capsys.readouterr().out
         assert run(ws, "init") == 0
-        assert "0 tables created" in capsys.readouterr().out
+        out = capsys.readouterr().out
+        assert "0 tables created" in out and "migrated" not in out
 
     def test_unreachable_store(self, ws, capsys):
         add_cfg(ws, store_path=str(ws / "missing" / "dir" / "x.db"))
@@ -980,6 +981,70 @@ class TestStoreWithoutSchema:
         assert err.startswith("error:") and "no such table" in err
 
 
+class TestStoreBeforeProvenanceColumn:
+    """A store written when provenance rode inside ``data``."""
+
+    @pytest.mark.parametrize("argv", [
+        ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",
+         "--end", "5"],
+        ["segments", "--doc", "doc1.txt", "--first", "0:5",
+         "--second", "6:13"],
+        ["export", "--doc", "doc1.txt"],
+        ["run", "DOC", "--stages", "tokenize,sentences"],
+        ["import", "--annotations", "DEPS", "--doc", "doc1.txt"],
+        ["import", "--inline", "INLINE"],
+    ], ids=["query", "segments", "export", "run", "import-annotations",
+            "import-inline"])
+    def test_exit_2_says_to_run_init_which_migrates(self, ws, capsys, argv):
+        deps = ws / "deps.tsv"
+        deps.write_text(DEPS, encoding="utf-8")
+        inline = ws / "fig2.xml"
+        inline.write_text(FIG2, encoding="utf-8")
+        given = {"DOC": write_doc(ws), "DEPS": str(deps),
+                 "INLINE": str(inline)}
+        argv = [given.get(arg, arg) for arg in argv]
+        assert run(ws, "init") == 0
+        assert run(ws, "run", given["DOC"], "--stages", "tokenize") == 0
+        capsys.readouterr()
+        assert run(ws, "export", "--doc", "doc1.txt") == 0
+        exported = capsys.readouterr().out
+        with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
+            moved, = conn.execute("SELECT count(*) FROM annotations"
+                                  " WHERE provenance != ''").fetchone()
+            with conn:
+                conn.execute("UPDATE annotations SET data = json_set(data,"
+                             " '$._provenance', provenance)"
+                             " WHERE provenance != ''")
+                conn.execute("ALTER TABLE annotations DROP COLUMN provenance")
+        old = dump(ws)
+        assert run(ws, *argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert "run `annokit init`" in err and "no such column" not in err
+        assert dump(ws) == old
+        assert run(ws, "init") == 0
+        assert capsys.readouterr().out.splitlines() == [
+            "0 tables created",
+            f"migrated: {moved} provenances moved to their own column"]
+        assert run(ws, *argv) == 0
+        if argv[0] == "export":
+            assert capsys.readouterr().out == exported
+
+    @pytest.mark.parametrize("message", [
+        "refused provenance",
+        "NOT NULL constraint failed: annotations.provenance"])
+    def test_any_other_provenance_error_stays_a_store_error(
+            self, ws, capsys, message):
+        assert run(ws, "init") == 0
+        with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
+            conn.execute("CREATE TRIGGER refuse BEFORE INSERT ON annotations"
+                         f" BEGIN SELECT RAISE(ABORT, '{message}'); END")
+        capsys.readouterr()
+        assert run(ws, "run", write_doc(ws), "--stages", "tokenize") == 2
+        err = capsys.readouterr().err
+        assert message in err and "annokit init" not in err
+
+
 SENTENCE = "Cells express CD30. "
 
 
@@ -1044,7 +1109,7 @@ def clean_dump():
         return dump(ws)
 
 
-# The session takes about 410 ticks of 20 sqlite VM steps.
+# The session takes about 420 ticks of 20 sqlite VM steps.
 @settings(max_examples=50, deadline=None)
 @given(st.integers(min_value=1, max_value=450))
 def test_session_interrupted_at_any_tick_converges_on_rerun(tick):

@@ -51,6 +51,13 @@ def test_add_and_fetch():
     assert got == [ann]
 
 
+def test_an_annotation_keeps_no_instance_dict():
+    ann = Annotation(Interval(0, 3), "token", "012")
+    assert not hasattr(ann, "__dict__")
+    with pytest.raises(AttributeError):
+        ann.doc_id = 1
+
+
 def test_out_of_bounds_span_rejected():
     doc = make_doc()
     with pytest.raises(BoundsError):
@@ -71,8 +78,8 @@ def test_empty_type_rejected():
         doc.annotate(Interval(0, 2), "")
 
 
-# The store and the TSV format carry provenance under "_provenance", so an
-# attribute of that name would come back as the provenance or be lost.
+# The TSV format carries provenance under "_provenance", so an attribute
+# of that name would come back as the provenance or be lost.
 def test_provenance_key_rejected_on_add():
     doc = make_doc()
     with pytest.raises(ValidationError):

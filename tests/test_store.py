@@ -50,14 +50,15 @@ def fresh_store():
 
 def test_init_schema_creates_fourteen_tables():
     store = CdmStore(":memory:")
-    created = store.init_schema()
+    created, moved = store.init_schema()
+    assert moved is None
     assert set(created) == ALL_TABLES
     assert len(created) == 14
 
 
 def test_init_schema_idempotent():
     store = fresh_store()
-    assert store.init_schema() == []
+    assert store.init_schema() == ([], None)
 
 
 def test_incompatible_table_blocks_init():
@@ -103,13 +104,120 @@ def test_init_schema_drops_the_type_value_index_of_an_old_store(tmp_path):
         refs = store.query_by_value("CUI", "C1")
     with CdmStore(path) as store:
         assert "idx_annotations_type_value" in index_names(store)
-        assert store.init_schema() == []
+        assert store.init_schema() == ([], None)
         assert "idx_annotations_type_value" not in index_names(store)
         assert "idx_annotations_doc_span" in index_names(store)
         assert store.connection.execute(
             "SELECT * FROM annotations ORDER BY id").fetchall() == rows
         assert len(refs) == 9
         assert store.query_by_value("CUI", "C1") == refs
+
+
+def to_layout_before_provenance_column(store):
+    """Rewrite ``store`` as the code before the provenance column wrote
+    it: each provenance inside ``data`` under "_provenance", encoded with
+    the attributes, and no provenance column."""
+    conn = store.connection
+    rows = conn.execute("SELECT id, data, provenance FROM annotations"
+                        " WHERE provenance != ''").fetchall()
+    with conn:
+        conn.executemany("UPDATE annotations SET data = ? WHERE id = ?", [
+            (canonical_json({**json.loads(data), "_provenance": provenance}),
+             ann_id) for ann_id, data, provenance in rows])
+        conn.execute("ALTER TABLE annotations DROP COLUMN provenance")
+
+
+def opened_fields(store, doc_id):
+    return [(a.id, a.span, a.type_name, a.value, a.attributes, a.provenance)
+            for a in store.unmarshal_document(doc_id).annotations()]
+
+
+_FIELD_TEXT = st.text(max_size=6)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.lists(st.tuples(
+    st.dictionaries(_FIELD_TEXT.filter(lambda key: key != "_provenance"),
+                    _FIELD_TEXT, max_size=3), _FIELD_TEXT), max_size=6))
+@example([({'q"\\': "\n\x01\u2028\U0001f600", "": ""},
+           '"\\\x1f\u2028\U0001f600'), ({}, "p"), ({"k": "v"}, ""),
+          ({"\x00": "\x00"}, "x\x00y")])
+def test_init_migrates_a_store_written_before_the_provenance_column(
+        entries):
+    store = fresh_store()
+    doc = Document("old", "abcdef")
+    for n, (attributes, provenance) in enumerate(entries):
+        doc.annotate(Interval(n % 3, 3 + n % 3), "token", f"v{n}",
+                     attributes, provenance)
+    outer = doc.annotate(Interval(0, 6), "section", "a", {}, "sections")
+    doc.annotate(Interval(1, 5), "section", "b", {"parent": str(outer.id)},
+                 "sections")
+    store.marshal_document(doc)
+    rows = store.connection.execute(
+        "SELECT * FROM annotations ORDER BY id").fetchall()
+    fields = opened_fields(store, doc.id)
+    to_layout_before_provenance_column(store)
+    with pytest.raises(MigrationRequiredError, match="run `annokit init`"):
+        store.unmarshal_document(doc.id)
+    assert store.init_schema() == ([], sum(
+        bool(provenance) for _, provenance in entries) + 2)
+    # every migrated row is the row this layout writes, byte for byte
+    assert store.connection.execute(
+        "SELECT * FROM annotations ORDER BY id").fetchall() == rows
+    assert opened_fields(store, doc.id) == fields
+    dump = list(store.connection.iterdump())
+    assert store.init_schema() == ([], None)
+    assert list(store.connection.iterdump()) == dump
+
+
+# Rows as the old layout opened them: a text provenance moves, decoded
+# as the open decoded it; any other row stays, and its "_provenance"
+# becomes an attribute, which export and every edit refuse.
+@pytest.mark.parametrize("data, migrated", [
+    (' {"k": "v", "_provenance": "p"}', ('{"k":"v"}', "p")),
+    (b'{"_provenance":"p"}', ("{}", "p")),
+    ('{"_provenance":"p","a":NaN}', ('{"a":NaN}', "p")),
+    ('{"_provenance":1}', ('{"_provenance":1}', "")),
+    ('{"_provenance":null}', ('{"_provenance":null}', "")),
+    ('{"_provenance":["x"]}', ('{"_provenance":["x"]}', "")),
+    ('{"_provenance":"p"', ('{"_provenance":"p"', "")),
+    ('["_provenance"]', ('["_provenance"]', "")),
+], ids=["spaced", "bytes", "nan", "int", "null", "list", "malformed",
+        "not-a-map"])
+def test_migration_of_rows_the_old_layout_could_hold(data, migrated):
+    store, doc_id = stored_with_data(data)
+    to_layout_before_provenance_column(store)
+    assert store.init_schema() == ([], int(bool(migrated[1])))
+    assert store.connection.execute(
+        "SELECT data, provenance FROM annotations").fetchall() == [migrated]
+
+
+def test_a_failed_migration_leaves_the_layout_before_it():
+    store = fresh_store()
+    doc = Document("old", "abc")
+    doc.annotate(Interval(0, 3), "token", "abc", {"k": "v"}, "tool")
+    store.marshal_document(doc)
+    to_layout_before_provenance_column(store)
+    conn = store.connection
+    conn.execute("CREATE TRIGGER refuse BEFORE UPDATE ON annotations"
+                 " BEGIN SELECT RAISE(ABORT, 'refused'); END")
+    dump = list(conn.iterdump())
+    with pytest.raises(StoreError, match="refused"):
+        store.init_schema()
+    assert list(conn.iterdump()) == dump
+    conn.execute("DROP TRIGGER refuse")
+    assert store.init_schema() == ([], 1)
+    assert opened_fields(store, doc.id) == [
+        (1, Interval(0, 3), "token", "abc", {"k": "v"}, "tool")]
+
+
+def test_a_foreign_annotations_table_blocks_init_and_stays_as_it_was():
+    conn = sqlite3.connect(":memory:")
+    conn.execute("CREATE TABLE annotations (id INTEGER, wrong TEXT)")
+    dump = list(conn.iterdump())
+    with pytest.raises(MigrationRequiredError):
+        CdmStore(conn).init_schema()
+    assert list(conn.iterdump()) == dump
 
 
 def test_find_graph_searches_the_name_index():
@@ -445,20 +553,41 @@ def test_an_open_shares_equal_texts_but_not_attributes(tmp_path):
         ("C2", {"TYPE": "Ward"}, "tooly"),
         ("C00001", {"TYPE": "Hospital"}, "toolx")]
     # provenance that is not text, which annotate refuses, comes back as
-    # stored: 1 and True are equal keys, and a list is no key at all
-    odd, odd_id = stored_with_data(*(canonical_json({"_provenance": value})
-                                     for value in (1, True, ["x"])))
+    # stored: a BLOB opens as bytes, apart from the equal text; and
+    # "_provenance" inside data is an attribute like any other
+    odd, odd_id = stored_with_data("{}", "{}",
+                                   canonical_json({"_provenance": "x"}))
+    with odd.connection:
+        odd.connection.executemany(
+            "UPDATE annotations SET provenance = ? WHERE id = ?",
+            [("toolx", 1), (b"toolx", 2)])
     opened = odd.unmarshal_document(odd_id)
-    assert [(type(a.provenance), a.provenance)
-            for a in opened.annotations()] == [
-        (int, 1), (bool, True), (list, ["x"])]
+    text, blob, reserved = opened.annotations()
+    assert [(type(a.provenance), a.provenance, a.attributes)
+            for a in (text, blob, reserved)] == [
+        (str, "toolx", {}), (bytes, b"toolx", {}),
+        (str, "", {"_provenance": "x"})]
+    # export refuses the bytes before it writes anything
+    dest = tmp_path / "odd.tsv"
+    dest.write_text("kept\n", encoding="utf-8")
+    with pytest.raises(ValidationError, match=f"annotation {blob.id} "):
+        export_annotations(opened, dest)
+    assert dest.read_text(encoding="utf-8") == "kept\n"
     # such an annotation takes an edit only with a text provenance
-    first = opened.annotations()[0]
     with pytest.raises(ValidationError):
-        opened.update_annotation(first.id, value="v")
-    assert (first.value, first.provenance, opened.dirty) == ("", 1, set())
-    opened.update_annotation(first.id, value="v", provenance="p")
-    assert (first.value, first.provenance) == ("v", "p")
+        opened.update_annotation(blob.id, value="v")
+    assert (blob.value, blob.provenance, opened.dirty) == ("", b"toolx",
+                                                           set())
+    opened.update_annotation(blob.id, value="v", provenance="p")
+    assert (blob.value, blob.provenance) == ("v", "p")
+    # and the attribute, which the TSV format would read back as the
+    # provenance, until it goes
+    with pytest.raises(ValidationError, match=f"annotation {reserved.id} "):
+        export_annotations(opened, dest)
+    with pytest.raises(ValidationError):
+        opened.update_annotation(reserved.id, value="v")
+    opened.update_annotation(reserved.id, attributes={})
+    assert export_annotations(opened, dest) == 3
 
 
 def stored_with_data(*texts):
