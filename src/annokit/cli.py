@@ -323,6 +323,11 @@ def cmd_convert(config: PipelineConfig, args) -> int:
         records = split_records(markup, record_element=args.record_element)
         parts = [(f"{stem}-{r.record_id}", r.plain_text, r.annotations())
                  for r in records]
+        written = set()
+        for name, _, _ in parts:
+            if name in written:
+                raise ValidationError(f"two records would write {name}.txt")
+            written.add(name)
     else:
         plain, anns = convert(markup)
         parts = [(stem, plain, anns)]

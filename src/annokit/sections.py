@@ -2,10 +2,13 @@
 
 A guideline is an XML grammar for a family of notes: named sections with
 heading regexes (nested specs describe subsections) plus fill-in templates
-matched by a single body pattern. Detection walks each scope, elects the
-winning heading per offset, cuts sibling sections at the next accepted
-heading, and recurses into section bodies. Text is never consumed: the
-output is plain annotations.
+matched by a single body pattern. Detection elects each scope's headings
+in one sweep: the heading that starts first wins (at one offset, the
+earlier declared spec, then the longer match), none starts inside an
+accepted one, and a pattern searches again only once the sweep passes its
+held match, so a scope costs patterns x (headings + 1) searches. Sibling
+sections end at the next accepted heading, and detection recurses into
+their bodies. Text is never consumed: the output is plain annotations.
 """
 
 import re
@@ -78,6 +81,14 @@ def _compile(source: str, flags: int, path: str) -> re.Pattern:
         raise GuidelineError(f"{path}: bad regex {source!r}: {exc}") from exc
 
 
+def _check_extractors(extractors, patterns, path: str) -> None:
+    # a section's patterns are alternative headings: one group will do
+    for attr, group in extractors:
+        if not any(group in pattern.groupindex for pattern in patterns):
+            raise GuidelineError(f"{path}: extractor {attr!r} references "
+                                 f"group {group!r} which no pattern defines")
+
+
 def _parse_section(elem, path: str) -> SectionSpec:
     name = _require_attr(elem, "name", path)
     path = f"{path}/section {name!r}"
@@ -130,6 +141,7 @@ def _parse_section(elem, path: str) -> SectionSpec:
                     f"{path}/pattern {n}: name_from_group "
                     f"{name_from_group!r} is not a group of {sources[n]!r}"
                 )
+    _check_extractors(extractors, patterns, path)
     _check_unique_names(children, "section", path)
     return SectionSpec(name=name, patterns=patterns,
                        name_from_group=name_from_group,
@@ -157,12 +169,7 @@ def _parse_template(elem, path: str) -> TemplateSpec:
             f"got {len(sources)}"
         )
     pattern = _compile(sources[0], re.MULTILINE, f"{path}/pattern")
-    for attr, group in extractors:
-        if group not in pattern.groupindex:
-            raise GuidelineError(
-                f"{path}: extractor {attr!r} references group {group!r} "
-                f"which the pattern does not define"
-            )
+    _check_extractors(extractors, [pattern], path)
     return TemplateSpec(name=name, pattern=pattern, extractors=extractors)
 
 
@@ -197,8 +204,8 @@ def parse_guideline(xml_text: str) -> Guideline:
 
 
 def _matches_at_every_start(pattern, text, lo, hi):
-    # finditer skips matches that begin inside an earlier match; headings
-    # and templates want one candidate per distinct start offset instead
+    # finditer skips matches that begin inside an earlier match; templates
+    # want one match per distinct start offset instead
     pos = lo
     while pos <= hi:
         m = pattern.search(text, pos, hi)
@@ -209,24 +216,21 @@ def _matches_at_every_start(pattern, text, lo, hi):
 
 
 def _elect_headings(specs, text, lo, hi):
-    """One winning (spec, match) per offset, then a left-to-right sweep
-    dropping headings that begin inside an earlier heading's text."""
-    candidates = {}
-    for declared, spec in enumerate(specs):
-        for pattern in spec.patterns:
-            for m in _matches_at_every_start(pattern, text, lo, hi):
-                rank = (declared, -(m.end() - m.start()))
-                held = candidates.get(m.start())
-                if held is None or rank < held[0]:
-                    candidates[m.start()] = (rank, spec, m)
+    """The accepted (spec, match) headings of one scope, in text order, by
+    the sweep the module docstring describes."""
+    held = [(pattern.search(text, lo, hi), declared, spec, pattern)
+            for declared, spec in enumerate(specs)
+            for pattern in spec.patterns]
     accepted = []
-    cursor = lo
-    for start in sorted(candidates):
-        _, spec, m = candidates[start]
-        if start < cursor:
-            continue
+    while held := [h for h in held if h[0] is not None]:
+        m, _, spec, _ = min(held, key=lambda h: (
+            h[0].start(), h[1], h[0].start() - h[0].end()))
         accepted.append((spec, m))
-        cursor = max(cursor, m.end())
+        cursor = max(m.end(), m.start() + 1)
+        if cursor > hi:  # search() would clamp pos back before the cursor
+            break
+        held = [(p.search(text, cursor, hi) if nxt.start() < cursor else nxt,
+                 d, s, p) for nxt, d, s, p in held]
     return accepted
 
 
@@ -275,8 +279,9 @@ def detect_sections(doc: Document, guideline: Guideline) -> list[Annotation]:
 
 def match_templates(doc: Document, guideline: Guideline) -> list[Annotation]:
     """Attach one annotation per template body match, carrying the named
-    groups the template's extractors name. Matches may overlap; nothing
-    is consumed."""
+    groups the template's extractors name. Every match is reported, also
+    one that overlaps another, so the output, and its cost, can be
+    quadratic in the text; nothing is consumed."""
     out = []
     text = doc.content
     for template in guideline.templates:

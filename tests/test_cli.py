@@ -639,6 +639,21 @@ class TestConvert:
         assert (ws / "corpus-b.txt").exists()
         assert "May 1" in (ws / "corpus-a.txt").read_text(encoding="utf-8")
 
+    def test_records_that_would_write_the_same_files(self, ws, capsys):
+        src = ws / "m.xml"
+        src.write_text(
+            "<ROOT><RECORD ID=\"a\"><TEXT>First.</TEXT></RECORD>"
+            "<RECORD ID=\"b\"><TEXT>Other.</TEXT></RECORD>"
+            "<RECORD ID=\"a\"><TEXT>Second.</TEXT></RECORD></ROOT>",
+            encoding="utf-8")
+        before = sorted(ws.iterdir())
+        assert run(ws, "convert", str(src),
+                   "--record-element", "RECORD") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert "m-a.txt" in captured.err
+        assert sorted(ws.iterdir()) == before
+
 
 class TestExportAndInline:
     def test_export_stdout(self, ws, capsys):

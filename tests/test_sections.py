@@ -1,9 +1,20 @@
-import pytest
+import re
+from unittest import mock
 
+import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from annokit import sections as section_tools
 from annokit.documents import Document
 from annokit.errors import GuidelineError
 from annokit.intervals import AllenRelation, Interval, relate
-from annokit.sections import detect_sections, match_templates, parse_guideline
+from annokit.sections import (
+    SectionSpec,
+    detect_sections,
+    match_templates,
+    parse_guideline,
+)
 
 TWO_HEADINGS = """
 <guideline name="simple">
@@ -99,6 +110,29 @@ def test_template_extractor_must_reference_existing_group():
             '</template></guideline>')
     assert "diff" in str(err.value)
     assert "polys" in str(err.value)
+
+
+def test_section_extractor_must_reference_existing_group():
+    with pytest.raises(GuidelineError) as err:
+        parse_guideline(
+            '<guideline name="g"><section name="s">'
+            '<pattern regex="^S:"/>'
+            '<attribute name="a" group="nope"/>'
+            '</section></guideline>')
+    assert "section 's'" in str(err.value)
+    assert "nope" in str(err.value)
+
+
+def test_section_extractor_group_from_any_alternative_heading():
+    g = parse_guideline(
+        '<guideline name="g"><section name="s">'
+        '<pattern regex="^S (?P&lt;n&gt;\\d+):"/>'
+        '<pattern regex="^SECTION:"/>'
+        '<attribute name="number" group="n"/>'
+        '</section></guideline>')
+    doc = Document("note", "S 4: one\nSECTION: two\n")
+    found = detect_sections(doc, g)
+    assert [s.attributes.get("number") for s in found] == ["4", None]
 
 
 def test_template_takes_exactly_one_pattern():
@@ -309,3 +343,124 @@ def test_siblings_disjoint_and_ordered():
     assert spans == sorted(spans, key=lambda s: (s.start, s.end))
     for left, right in zip(spans, spans[1:]):
         assert left.end <= right.start
+
+
+# The election as it was before the one-sweep rewrite: a table of the best
+# heading per start offset, sorted, then a sweep that drops headings
+# starting inside an accepted one. It is the oracle for the rewrite.
+
+def _oracle_matches_at_every_start(pattern, text, lo, hi):
+    pos = lo
+    while pos <= hi:
+        m = pattern.search(text, pos, hi)
+        if m is None:
+            return
+        yield m
+        pos = m.start() + 1
+
+
+def _oracle_elect_headings(specs, text, lo, hi):
+    candidates = {}
+    for declared, spec in enumerate(specs):
+        for pattern in spec.patterns:
+            for m in _oracle_matches_at_every_start(pattern, text, lo, hi):
+                rank = (declared, -(m.end() - m.start()))
+                held = candidates.get(m.start())
+                if held is None or rank < held[0]:
+                    candidates[m.start()] = (rank, spec, m)
+    accepted = []
+    cursor = lo
+    for start in sorted(candidates):
+        _, spec, m = candidates[start]
+        if start < cursor:
+            continue
+        accepted.append((spec, m))
+        cursor = max(cursor, m.end())
+    return accepted
+
+
+class CountingPattern:
+    """A compiled pattern that counts its searches and raises once they
+    pass ``budget``, so an election that never stops fails, not hangs."""
+
+    def __init__(self, pattern, budget):
+        self.pattern = pattern
+        self.budget = budget
+        self.searches = 0
+
+    def search(self, *args):
+        self.searches += 1
+        if self.searches > self.budget:
+            raise AssertionError(f"more than {self.budget} searches")
+        return self.pattern.search(*args)
+
+
+ATOMS = ["", "A", "B", "AB", "A+", "[AB ]*:", "[A-Z][A-Z ]*:", "x*", ":",
+         "^", "$", "^A", "B$", "^$", "(?<=:)", "(?<=\n)A", "(?<!A)B",
+         "\\b", "\\bA", "A\\b", "A|AB", "(B+)"]
+
+patterns = st.builds(
+    lambda atoms, multiline: re.compile(
+        "".join(atoms), re.MULTILINE if multiline else 0),
+    st.lists(st.sampled_from(ATOMS), min_size=1, max_size=2), st.booleans())
+spec_lists = st.lists(st.lists(patterns, min_size=1, max_size=2),
+                      min_size=1, max_size=3)
+texts = st.text(alphabet="AB :\nx", max_size=30)
+
+
+def _specs(pattern_lists, budget, children=()):
+    return [SectionSpec(f"s{n}", [CountingPattern(p, budget) for p in ps],
+                        children=list(children))
+            for n, ps in enumerate(pattern_lists)]
+
+
+def _spans(accepted):
+    return [(spec.name, m.span()) for spec, m in accepted]
+
+
+@settings(max_examples=400, deadline=None)
+@given(spec_lists, texts, st.data())
+@example([[re.compile("")]], "AB", None)
+@example([[re.compile("$")], [re.compile("x*")]], "A\nx", None)
+def test_election_matches_oracle(pattern_lists, text, data):
+    if data is None:
+        lo, hi = 0, len(text)
+    else:
+        hi = data.draw(st.one_of(st.just(len(text)),
+                                 st.integers(0, len(text))))
+        lo = data.draw(st.integers(0, hi))
+    budget = 4 * (len(text) + 2)
+    expected = _oracle_elect_headings(_specs(pattern_lists, budget),
+                                      text, lo, hi)
+    got = section_tools._elect_headings(_specs(pattern_lists, budget),
+                                        text, lo, hi)
+    assert _spans(got) == _spans(expected)
+
+
+@settings(max_examples=150, deadline=None)
+@given(spec_lists, spec_lists, texts)
+def test_nested_detection_matches_oracle(outer, inner, text):
+    budget = 4 * (len(text) + 2)
+
+    def detect(elect):
+        guideline = section_tools.Guideline(
+            "g", _specs(outer, budget, _specs(inner, budget)))
+        with mock.patch.object(section_tools, "_elect_headings", elect):
+            found = detect_sections(Document("n", text), guideline)
+        return [(s.span, s.value, s.attributes) for s in found]
+
+    assert detect(section_tools._elect_headings) \
+        == detect(_oracle_elect_headings)
+
+
+@pytest.mark.parametrize("n", [1_000, 4_000])
+def test_heading_run_costs_a_search_per_accepted_heading(n):
+    """A scope makes at most patterns x (accepted headings + 1) searches,
+    however long the heading-like run that an unanchored pattern meets;
+    searching again from every start inside the run made n + 1."""
+    text = "A" * n + ":"
+    pattern = CountingPattern(re.compile("[A-Z][A-Z ]*:"), budget=n + 2)
+    found = detect_sections(Document("n", text), section_tools.Guideline(
+        "g", [SectionSpec("s", [pattern])]))
+    assert [s.span for s in found] == [Interval(0, n + 1)]
+    assert pattern.searches <= 1 * (len(found) + 1)
