@@ -324,13 +324,23 @@ def cmd_convert(config: PipelineConfig, args) -> int:
         parts = [(f"{stem}-{r.record_id}", r.plain_text, r.annotations())
                  for r in records]
         written = set()
-        for name, _, _ in parts:
+        for record, (name, _, _) in zip(records, parts):
+            if record.record_id in (".", "..") \
+                    or {"/", os.sep, os.altsep} & set(record.record_id):
+                raise ValidationError(
+                    f"record ID {record.record_id!r} is not a file name")
             if name in written:
                 raise ValidationError(f"two records would write {name}.txt")
             written.add(name)
     else:
         plain, anns = convert(markup)
         parts = [(stem, plain, anns)]
+    source = os.path.realpath(args.path)
+    for name, _, _ in parts:
+        for ext in (".txt", ".ann"):
+            if os.path.realpath(os.path.join(out_dir, name + ext)) == source:
+                raise ValidationError(
+                    f"convert would overwrite its input {args.path}")
 
     print(TABLE_HEADER)
     for name, plain, anns in parts:

@@ -2,10 +2,12 @@
 
 A lexicon maps case-folded token sequences to concept ids (CUIs), with
 side tables for semantic types (TUIs), specialist parts of speech, and
-function words. Tagging enumerates contiguous token subsequences of a
-sentence, looks each up, keeps the greedy longest-first winners, discards
-matches fully contained in a kept match, and finally drops single-token
-matches that are bare function words. Partial overlaps survive.
+function words. Tagging is one left-to-right pass over a sentence: from
+each start, the longest hit among the phrases of at most the window's
+length that hold no punctuation is kept when it ends past every match
+from an earlier start, that is, when no other match contains it. A kept
+single-token match that is a bare function word is then dropped. Partial
+overlaps survive.
 """
 
 from dataclasses import dataclass, field
@@ -17,8 +19,8 @@ from .intervals import Interval
 
 @dataclass
 class Lexicon:
-    """Immutable after load. Tagging looks up phrases of at most
-    ``max_phrase_tokens`` tokens; left unset, that is the token count of
+    """Immutable after load. ``max_phrase_tokens`` is the tagger's window,
+    the longest phrase it looks up; left unset, it is the token count of
     the longest entry (0 when there is none), so every entry can match."""
 
     entries: dict[tuple, list[str]] = field(default_factory=dict)
@@ -129,54 +131,37 @@ def load_lexicon(term_file, tui_file=None, pos_file=None,
 
 def tag_sentence(tokens: list[tuple[str, Interval]],
                  lexicon: Lexicon) -> list[ConceptMatch]:
-    """Greedy dictionary matching over one sentence's tokens.
+    """One left-to-right pass of dictionary matching over a sentence.
 
-    tokens are (surface, span) pairs in canonical order. Returns kept
-    matches ordered by token range. See the module docstring for the
-    procedure; the greedy commit order is longest first, ties leftmost.
+    tokens are (surface, span) pairs in canonical order. Returns the kept
+    matches ordered by token range, after at most n x window lookups for
+    n tokens and no sort; the module docstring gives the procedure.
     """
-    n = len(tokens)
-    if n == 0:
-        return []
     folded = [surface.casefold() for surface, _ in tokens]
     punct = [_is_punctuation(surface) for surface, _ in tokens]
-    longest = min(n, lexicon.max_phrase_tokens)
-
-    candidates = []
+    window = lexicon.max_phrase_tokens
+    n = len(tokens)
+    matches = []
+    reach = 0  # the furthest end of any match from an earlier start
     for start in range(n):
-        if punct[start]:
-            continue
-        for end in range(start + 1, min(n, start + longest) + 1):
+        longest = None
+        for end in range(start + 1, min(n, start + window) + 1):
             if punct[end - 1]:
                 break  # extending further keeps the punctuation inside
             cuis = lexicon.entries.get(tuple(folded[start:end]))
             if cuis:
-                candidates.append((start, end, tuple(cuis)))
-
-    # A kept match containing (start, end) is at most ``longest`` tokens
-    # long, so it starts within ``longest - 1`` tokens before ``start``:
-    # only that window of ``reach`` is read. ``reach[k]`` is the end of
-    # the kept match starting at token k, or 0; there is at most one,
-    # since a shorter one from k would lie inside it. No two candidates
-    # share a token range, so a kept match reaching ``end`` is larger.
-    reach = [0] * n
-    kept: list[tuple[int, int, tuple]] = []
-    for start, end, cuis in sorted(
-            candidates, key=lambda c: (-(c[1] - c[0]), c[0])):
-        if max(reach[max(0, start - longest + 1):start + 1]) < end:
-            kept.append((start, end, cuis))
-            reach[start] = end
-
-    survivors = []
-    for start, end, cuis in kept:
+                longest = end, cuis
+        if longest is None or longest[0] <= reach:
+            continue
+        end, cuis = longest
+        reach = end
         if end - start == 1 and folded[start] in lexicon.function_words:
             continue
-        survivors.append(ConceptMatch(
+        matches.append(ConceptMatch(
             token_start=start, token_end=end,
             span=Interval(tokens[start][1].start, tokens[end - 1][1].end),
-            cuis=cuis))
-    survivors.sort(key=lambda m: (m.token_start, m.token_end))
-    return survivors
+            cuis=tuple(cuis)))
+    return matches
 
 
 def annotate_concepts(doc: Document, sentence: Annotation,

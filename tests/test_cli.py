@@ -64,6 +64,12 @@ def run(ws, *argv):
     return main(["--config", str(ws / "annokit.cfg"), *argv])
 
 
+def snapshot(root):
+    """Every path under root, with the bytes of each file."""
+    return {path: path.read_bytes() if path.is_file() else None
+            for path in root.rglob("*")}
+
+
 def add_cfg(ws, **settings):
     cfg = ws / "annokit.cfg"
     lines = cfg.read_text(encoding="utf-8")
@@ -653,6 +659,37 @@ class TestConvert:
         assert captured.out == ""
         assert "m-a.txt" in captured.err
         assert sorted(ws.iterdir()) == before
+
+    @pytest.mark.parametrize("name", ["note.txt", "note.ann"])
+    def test_refuses_to_overwrite_its_input(self, ws, capsys, name):
+        src = ws / name
+        src.write_text('Seen at <PHI TYPE="Hospital">BIDMC</PHI>.',
+                       encoding="utf-8")
+        before = snapshot(ws)
+        assert run(ws, "convert", str(src)) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error:")
+        assert "input" in captured.err
+        assert snapshot(ws) == before
+
+    @pytest.mark.parametrize("record_id",
+                             ["x/../../../pwn", "../esc", "..", "."])
+    def test_record_ids_that_name_a_path(self, ws, capsys, record_id):
+        out = ws / "d1" / "d2" / "out"
+        (out / "m-x").mkdir(parents=True)
+        src = ws / "m.xml"
+        src.write_text(
+            "<ROOT><RECORD ID=\"ok\"><TEXT>First.</TEXT></RECORD>"
+            f"<RECORD ID=\"{record_id}\"><TEXT>Second.</TEXT></RECORD>"
+            "</ROOT>", encoding="utf-8")
+        before = snapshot(ws)
+        assert run(ws, "convert", str(src), "--out-dir", str(out),
+                   "--record-element", "RECORD") == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert repr(record_id) in captured.err
+        assert snapshot(ws) == before
 
 
 class TestExportAndInline:

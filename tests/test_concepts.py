@@ -162,16 +162,16 @@ def test_random_cases_match_oracle():
     vocab = ["heart", "attack", "congenital", "defect", "of", "the",
              "acute", "pain", ",", "."]
     for _ in range(150):
-        words = [rng.choice(vocab) for _ in range(rng.randrange(0, 13))]
+        words = [rng.choice(vocab) for _ in range(rng.randrange(0, 31))]
         tokens = lay_out(words)
         terms = []
         for _ in range(rng.randrange(1, 8)):
-            k = rng.randrange(1, 4)
+            k = rng.randrange(1, 6)
             phrase = " ".join(rng.choice(vocab[:8]) for _ in range(k))
             terms.append((phrase, f"C{rng.randrange(5)}"))
         lexicon = lex(terms,
                       function_words=rng.sample(vocab[:8], rng.randrange(3)),
-                      max_phrase_tokens=rng.choice((2, 3, 12)))
+                      max_phrase_tokens=rng.choice((None, 1, 2, 3, 5, 12)))
         assert ranges(tag_sentence(tokens, lexicon)) == \
             oracle_tag(tokens, lexicon)
 
