@@ -178,8 +178,9 @@ class _StageResources:
                 function_word_file=config.function_words or None)
 
 
-def _has_run(doc: Document, stage: str) -> bool:
-    return any(t in doc.index.by_type for t in STAGES[stage][0])
+def _has_run(types, stage: str) -> bool:
+    """Whether a document holding ``types`` holds any type of ``stage``."""
+    return any(t in types for t in STAGES[stage][0])
 
 
 def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
@@ -190,10 +191,11 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
     are unique per document and sentence, and a document's graphs are
     written all or nothing). A stage whose input stage has neither run
     nor been requested is a gap. Returns the number of graphs persisted."""
-    if _has_run(doc, stage):
+    types = doc.index.by_type
+    if _has_run(types, stage):
         return 0
     for needed in STAGES[stage][1]:
-        if not _has_run(doc, needed) and needed not in stages:
+        if not _has_run(types, needed) and needed not in stages:
             raise PrerequisiteGapError(
                 f"{doc.name}: {stage} reads the {needed} stage's output;"
                 f" run the {needed} stage first")
@@ -212,7 +214,7 @@ def _run_stage(doc: Document, stage: str, stages, resources, store) -> int:
         concept_tools.annotate_tuis(doc, resources.lexicon)
         concept_tools.annotate_sp_pos(doc, resources.lexicon)
     elif stage == "graphs":
-        if "dependency" not in doc.index.by_type:
+        if "dependency" not in types:
             raise PrerequisiteGapError(
                 f"{doc.name}: graphs requires imported dependency"
                 " annotations")

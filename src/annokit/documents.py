@@ -2,12 +2,13 @@
 
 A document's text is immutable; all analysis attaches as annotations that
 point into the text by character span. Every document carries an index
-(interval tree + id map + per-type map) kept consistent by the operations
-here. Canonical annotation order, defined once by ``canonical_key``, is
-start, then end, then id, with provisional ids after durable ones in
-creation order; the store reads annotations back in the same order. When
-the store replaces provisional ids, it gives them ids above every durable
-id of the document, in canonical order, so no annotation changes place.
+(interval tree + id map) kept consistent by the operations here; its
+per-type id sets are read off the annotations when asked for. Canonical
+annotation order, defined once by ``canonical_key``, is start, then end,
+then id, with provisional ids after durable ones in creation order; the
+store reads annotations back in the same order. When the store replaces
+provisional ids, it gives them ids above every durable id of the
+document, in canonical order, so no annotation changes place.
 Also home to the deliberately simple built-in tokenizer and sentence
 splitter, the external tab-separated annotation exchange format, and the
 five-way sentence segmentation used for concept-pair context.
@@ -98,51 +99,55 @@ class Annotation:
 
 
 class AnnotationIndex:
-    """Interval tree of annotations plus id and type maps, mutated only
-    together. The tree orders annotations by ``Annotation.__lt__``, so an
+    """Interval tree of annotations plus an id map, mutated only together.
+    The tree orders annotations by ``Annotation.__lt__``, so an
     annotation's span and id may change only through this class."""
 
     def __init__(self):
         self.tree = IntervalTree()
         self.by_id: dict[int, Annotation] = {}
-        self.by_type: dict[str, set[int]] = {}
 
     def __len__(self):
         return len(self.by_id)
+
+    @property
+    def by_type(self) -> dict[str, set[int]]:
+        """Each type present, mapped to the ids of its annotations; one
+        pass over the annotations."""
+        out = {}
+        for ann_id, ann in self.by_id.items():
+            out.setdefault(ann.type_name, set()).add(ann_id)
+        return out
 
     def add(self, ann: Annotation) -> None:
         if ann.id in self.by_id:
             raise DuplicateEntryError(f"annotation id {ann.id} already used")
         self.tree.insert(ann.span, ann)
         self.by_id[ann.id] = ann
-        self.by_type.setdefault(ann.type_name, set()).add(ann.id)
 
-    def reindex(self, ann: Annotation, span: Interval, type_name: str) -> None:
-        """Give an indexed annotation a new span and type."""
+    def respan(self, ann: Annotation, span: Interval) -> None:
+        """Give an indexed annotation a new span."""
         if span != ann.span:
             self.tree.remove(ann.span, ann)
             ann.span = span
             self.tree.insert(span, ann)
-        if type_name != ann.type_name:
-            ids = self.by_type[ann.type_name]
-            ids.discard(ann.id)
-            if not ids:
-                del self.by_type[ann.type_name]
-            ann.type_name = type_name
-            self.by_type.setdefault(type_name, set()).add(ann.id)
 
     def replace_ids(self, new_ids: dict[int, int]) -> None:
         """Rebind annotation ``old`` to id ``new_ids[old]``, for each
         ``old``. Tree entries stay where they are, so the caller must pick
         new ids that keep each one in its place among equal spans."""
-        by_id, by_type = self.by_id, self.by_type
+        by_id = self.by_id
         for old_id, new_id in new_ids.items():
             ann = by_id.pop(old_id)
-            ids = by_type[ann.type_name]
-            ids.discard(old_id)
-            ids.add(new_id)
             ann.id = new_id
             by_id[new_id] = ann
+
+
+def _of_type(entries, type_filter: str | None) -> list[Annotation]:
+    """The annotations of (interval, annotation) ``entries`` whose type is
+    ``type_filter``, or all of them when it is None."""
+    return [ann for _, ann in entries
+            if type_filter is None or ann.type_name == type_filter]
 
 
 class Document:
@@ -205,15 +210,13 @@ class Document:
 
     def annotations(self, type_filter: str | None = None) -> list[Annotation]:
         """All annotations in canonical order (start, end, id)."""
-        return [ann for _, ann in self.index.tree
-                if type_filter is None or ann.type_name == type_filter]
+        return _of_type(self.index.tree, type_filter)
 
     def annotations_satisfying(self, rel: AllenRelation, b: Interval,
                                type_filter: str | None = None
                                ) -> list[Annotation]:
         """Annotations whose span bears ``rel`` to b, canonical order."""
-        return [ann for _, ann in self.index.tree.query(rel, b)
-                if type_filter is None or ann.type_name == type_filter]
+        return _of_type(self.index.tree.query(rel, b), type_filter)
 
     def next_annotations(self, anchor: Annotation, k: int,
                          type_filter: str | None = None) -> list[Annotation]:
@@ -241,8 +244,7 @@ class Document:
                            type_filter: str | None = None
                            ) -> list[Annotation]:
         """Annotations fully inside b (boundaries included), canonical."""
-        return [ann for _, ann in self.index.tree.within(b)
-                if type_filter is None or ann.type_name == type_filter]
+        return _of_type(self.index.tree.within(b), type_filter)
 
     def update_annotation(self, ann_id: int, span: Interval | None = None,
                           type_name: str | None = None,
@@ -260,8 +262,8 @@ class Document:
         provenance = ann.provenance if provenance is None else provenance
         _check_entry(len(self._content), span, type_name, value, attributes,
                      provenance)
-        self.index.reindex(ann, span, type_name)
-        ann.value, ann.provenance = value, provenance
+        self.index.respan(ann, span)
+        ann.type_name, ann.value, ann.provenance = type_name, value, provenance
         ann.attributes = attributes
         self.dirty.add(ann_id)
         return ann
@@ -466,13 +468,17 @@ def _format_attributes(ann: Annotation) -> str:
 
 
 def _parse_attributes(text: str) -> dict:
-    """Inverse of _format_attributes; ValueError on a malformed chunk."""
+    """Inverse of _format_attributes; ValueError on a malformed chunk or
+    a key given twice."""
     attributes = {}
     for chunk in filter(None, text.split(";")):
         key, sep, val = chunk.partition("=")
         if not sep:
             raise ValueError(f"attribute {chunk!r} has no '='")
-        attributes[_unescape(key)] = _unescape(val)
+        key = _unescape(key)
+        if key in attributes:
+            raise ValueError(f"attribute {key!r} is given twice")
+        attributes[key] = _unescape(val)
     return attributes
 
 

@@ -545,7 +545,10 @@ def read_graph_file(src) -> list[LabeledGraph]:
                 current = (gid, _unescape(fields[2]), _unescape(fields[3]),
                            {}, [])
             elif kind == "n" and len(fields) == 3 and current is not None:
-                current[3][int(fields[1])] = _unescape(fields[2])
+                node = int(fields[1])
+                if node in current[3]:
+                    raise ValueError(f"node {node} is listed twice")
+                current[3][node] = _unescape(fields[2])
             elif kind == "e" and len(fields) == 4 and current is not None:
                 current[4].append((int(fields[1]), int(fields[2]),
                                    _unescape(fields[3])))

@@ -5,6 +5,7 @@ p with start <= p < end, and a null interval has start == end. Under this
 reading adjacency is exact: (1,3) meets (3,5) with no gap arithmetic.
 """
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 
@@ -84,6 +85,29 @@ _PREDICATES = {
     AllenRelation.FINISHED_BY: lambda i, j: j.start > i.start and i.end == j.end,
     AllenRelation.OVERLAPS: lambda i, j: i.start < j.start < i.end < j.end,
     AllenRelation.OVERLAPPED_BY: lambda i, j: j.start < i.start < j.end < i.end,
+}
+
+INF = math.inf
+
+# Inclusive bounds (s_lo, s_hi, e_lo, e_hi) on an interval i such that,
+# given b = (bs, be), "i REL b" holds exactly when i lies within them.
+# Derived from the predicates above plus i.start <= i.end, null intervals
+# included; the bounds are exact, so an index scanning this box never
+# calls the predicate.
+BOUNDS = {
+    AllenRelation.EQ: lambda bs, be: (bs, bs, be, be),
+    AllenRelation.BEFORE: lambda bs, be: (0, bs - 1, 0, bs - 1),
+    AllenRelation.AFTER: lambda bs, be: (be + 1, INF, be + 1, INF),
+    AllenRelation.MEETS: lambda bs, be: (0, bs, bs, bs),
+    AllenRelation.MET_BY: lambda bs, be: (be, be, be, INF),
+    AllenRelation.DURING: lambda bs, be: (bs + 1, be - 1, bs + 1, be - 1),
+    AllenRelation.CONTAINS: lambda bs, be: (0, bs - 1, be + 1, INF),
+    AllenRelation.STARTS: lambda bs, be: (bs, bs, bs, be - 1),
+    AllenRelation.STARTED_BY: lambda bs, be: (bs, bs, be + 1, INF),
+    AllenRelation.FINISHES: lambda bs, be: (bs + 1, be, be, be),
+    AllenRelation.FINISHED_BY: lambda bs, be: (0, bs - 1, be, be),
+    AllenRelation.OVERLAPS: lambda bs, be: (0, bs - 1, bs + 1, be - 1),
+    AllenRelation.OVERLAPPED_BY: lambda bs, be: (bs + 1, be - 1, be + 1, INF),
 }
 
 _INVERSES = {

@@ -230,6 +230,38 @@ class TestUsage:
         assert err.count("error:") == 1
         assert "min_support must be an integer, got 'two'" in err
 
+    @pytest.mark.parametrize("argv, message", [
+        (["segments", "--doc", "doc1.txt", "--first", "5:x",
+          "--second", "0:1"], "'5:x'"),
+        (["import", "--annotations", "{ws}/deps.tsv"], "requires --doc"),
+        (["run", "--stages", "sections", "{ws}/doc1.txt"], "guideline"),
+        (["run", "--stages", "tokenize,sentences,concepts",
+          "{ws}/doc1.txt"], "lexicon_terms"),
+        (["instances", "--corpus", "notes", "--groundtruth", "1"],
+         "needs --task and --label"),
+        (["--convention", "sideways", "init"], "'sideways'"),
+        (["--config", "{ws}/missing.cfg", "init"], "missing.cfg"),
+        (["graph-mine", "--input", "{ws}/twice.tsv"], "line 3"),
+    ], ids=["bad-span", "annotations-without-doc", "no-guideline",
+            "no-lexicon", "groundtruth-without-label", "bad-convention",
+            "missing-config", "node-listed-twice"])
+    def test_error_exits_1_with_one_error_line(self, ws, capsys, argv,
+                                               message):
+        # blank and comment lines in the config file are skipped
+        cfg = ws / "annokit.cfg"
+        cfg.write_text("\n# a comment\n" + cfg.read_text(encoding="utf-8"),
+                       encoding="utf-8")
+        (ws / "deps.tsv").write_text(DEPS, encoding="utf-8")
+        (ws / "twice.tsv").write_text("graph\t\tg\tt\nn\t0\tA\nn\t0\tB\n",
+                                      encoding="utf-8")
+        assert run(ws, "init") == 0
+        assert run(ws, "import", write_doc(ws), "--corpus", "notes") == 0
+        capsys.readouterr()
+        assert run(ws, *(arg.format(ws=ws) for arg in argv)) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and err.count("error:") == 1
+        assert message in err
+
     def test_help_exits_0(self, capsys):
         assert main(["--help"]) == 0
         assert capsys.readouterr().out.startswith("usage: annokit")

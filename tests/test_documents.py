@@ -188,6 +188,18 @@ def test_next_annotations_includes_adjacent_span():
     assert doc.next_annotations(t1, 2) == [t2]
 
 
+def test_next_annotations_skips_other_types():
+    doc = make_doc("aaa bbb ccc")
+    t1 = doc.annotate(Interval(0, 3), "token", "aaa")
+    doc.annotate(Interval(4, 11), "CUI", "C1")
+    doc.annotate(Interval(4, 7), "POS", "NN")
+    t2 = doc.annotate(Interval(4, 7), "token", "bbb")
+    doc.annotate(Interval(8, 11), "POS", "NN")
+    t3 = doc.annotate(Interval(8, 11), "token", "ccc")
+    assert doc.next_annotations(t1, 2, "token") == [t2, t3]
+    assert doc.next_annotations(t1, 1, "CUI")[0].value == "C1"
+
+
 def test_next_annotations_prefix_property():
     rng = random.Random(11)
     doc = make_doc("z" * 60)
@@ -537,4 +549,20 @@ def test_tsv_unknown_escape_rejected(attributes):
     with pytest.raises(ImportFormatError) as info:
         import_external_annotations(doc, io.StringIO(line))
     assert info.value.line_numbers == (1,)
+    assert doc.annotations() == []
+
+
+@pytest.mark.parametrize("attributes", [
+    "a=1;a=2",
+    "_provenance=x;_provenance=y",
+    "a=1;a=2;_provenance=x;_provenance=y",
+    "k\r=1;k\\r=2",  # the same key once unescaped
+])
+def test_tsv_repeated_attribute_key_rejected(attributes):
+    doc = make_doc("Hello world", name="n")
+    data = ("n\t6\t11\ttoken\tworld\t\n"
+            f"n\t0\t5\ttoken\tHello\t{attributes}\n")
+    with pytest.raises(ImportFormatError) as info:
+        import_external_annotations(doc, io.StringIO(data))
+    assert info.value.line_numbers == (2,)
     assert doc.annotations() == []

@@ -906,6 +906,13 @@ class TestInterchange:
             read_graph_file(io.StringIO(text))
         assert err.value.line_numbers == (3,)
 
+    def test_repeated_node_rejected(self):
+        text = "graph\t\tg\tt\nn\t0\tA\nn\t0\tB\n"
+        with pytest.raises(ImportFormatError) as err:
+            read_graph_file(io.StringIO(text))
+        assert err.value.line_numbers == (3,)
+        assert "line 3" in str(err.value)
+
     def test_non_dense_ids_rejected(self):
         text = "graph\t\tg\tdep\nn\t0\ta\nn\t2\tb\n"
         with pytest.raises(ImportFormatError):

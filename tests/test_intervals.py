@@ -4,6 +4,7 @@ import pytest
 
 from annokit.errors import ValidationError
 from annokit.intervals import (
+    BOUNDS,
     AllenRelation,
     Interval,
     holds,
@@ -132,6 +133,19 @@ def test_holds_agrees_with_relate():
         full = relate(i, j)
         for rel in AllenRelation:
             assert holds(rel, i, j) == (rel in full)
+
+
+def test_bounds_box_is_exactly_the_relation():
+    small = [Interval(s, e) for s in range(7) for e in range(s, 7)]
+    checked = 0
+    for rel in AllenRelation:
+        for j in small:
+            s_lo, s_hi, e_lo, e_hi = BOUNDS[rel](j.start, j.end)
+            for i in small:
+                in_box = s_lo <= i.start <= s_hi and e_lo <= i.end <= e_hi
+                assert in_box == holds(rel, i, j), (rel, i, j)
+                checked += 1
+    assert checked == 10_192
 
 
 def test_inverse_is_involution():

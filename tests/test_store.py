@@ -305,6 +305,49 @@ def test_marshal_counts_rows():
     assert store.marshal_document(doc) == {"documents": 0, "annotations": 0}
 
 
+def test_marshal_writes_a_stored_documents_rename_and_metadata(tmp_path):
+    path = tmp_path / "store.db"
+    with CdmStore(path) as store:
+        store.init_schema()
+        doc = Document("old", "hello", metadata={"source": "a.txt"})
+        doc.annotate(Interval(0, 5), "token", "hello")
+        store.marshal_document(doc)
+        doc.name = "new"
+        doc.metadata["source"] = "b.txt"
+        assert store.marshal_document(doc) == {"documents": 1,
+                                               "annotations": 0}
+    with CdmStore(path) as reopened:
+        assert reopened.find_document("old") is None
+        back = reopened.unmarshal_document(reopened.find_document("new"))
+    assert (back.id, back.name, back.metadata) == (
+        doc.id, "new", {"source": "b.txt"})
+    assert [a.value for a in back.annotations()] == ["hello"]
+
+
+def test_marshal_of_a_document_id_the_store_lacks_writes_nothing():
+    store = fresh_store()
+    dump = list(store.connection.iterdump())
+    doc = Document("ghost", "boo", doc_id=999)
+    doc.annotate(Interval(0, 3), "token", "boo")
+    with pytest.raises(NotFoundError):
+        store.marshal_document(doc)
+    assert list(store.connection.iterdump()) == dump
+    assert len(doc.dirty) == 1
+
+
+def test_marshal_rename_onto_a_stored_name_is_a_store_error():
+    store = fresh_store()
+    first = Document("first", "one")
+    second = Document("second", "two")
+    store.marshal_document(first)
+    store.marshal_document(second)
+    dump = list(store.connection.iterdump())
+    second.name = "first"
+    with pytest.raises(StoreError):
+        store.marshal_document(second)
+    assert list(store.connection.iterdump()) == dump
+
+
 def test_marshal_assigns_durable_ids():
     store = fresh_store()
     doc = Document("n2", "abcdef")
