@@ -49,11 +49,14 @@ _PARENT_REFERENCE = ("section", "parent")
 
 
 def _check_text(type_name, value, attributes, provenance):
-    """Raise ValidationError unless every text is ``str`` (exact class)
-    and no attribute is named ``_provenance``."""
+    """Raise ValidationError unless every text is ``str`` (exact class),
+    the attributes are a ``dict`` and none is named ``_provenance``."""
     if not (type_name.__class__ is value.__class__ is provenance.__class__
             is str):
         raise ValidationError("type_name, value and provenance must be str")
+    if not isinstance(attributes, dict):
+        raise ValidationError(
+            f"attributes are a {type(attributes).__name__}, not a dict")
     for key, text in attributes.items():
         if not (key.__class__ is text.__class__ is str):
             raise ValidationError(f"attribute {key!r}={text!r} is not str")

@@ -69,14 +69,20 @@ class LabeledGraph:
     skipped_dependencies: int = 0
 
     def __post_init__(self):
-        n = len(self.nodes)
-        for src, dst, label in self.edges:
-            if not (0 <= src < n and 0 <= dst < n):
-                raise ValidationError(
-                    f"edge ({src},{dst},{label!r}) endpoint out of range"
-                )
-            if src == dst:
-                raise ValidationError(f"self-loop on node {src}")
+        fault = _edge_fault(len(self.nodes), self.edges)
+        if fault is not None:
+            raise ValidationError(fault[1])
+
+
+def _edge_fault(n, edges):
+    """(index, message) of the first of ``edges`` that leaves nodes
+    0..n-1 or loops on a node; None when there is none."""
+    for i, (src, dst, label) in enumerate(edges):
+        if not (0 <= src < n and 0 <= dst < n):
+            return i, f"edge ({src},{dst},{label!r}) endpoint out of range"
+        if src == dst:
+            return i, f"self-loop on node {src}"
+    return None
 
 
 # ``embeddings`` holds one list per graph, in ``graph_ids`` order: the
@@ -521,17 +527,26 @@ def write_graph_file(graphs: list[LabeledGraph], dest) -> int:
 
 
 def read_graph_file(src) -> list[LabeledGraph]:
+    """Graphs in the format of ``write_graph_file``. A malformed line, a
+    bad edge (its own line) or a graph whose node ids are not 0..N-1 (its
+    ``graph`` line) raises ``ImportFormatError`` naming that line."""
     graphs = []
-    current = None  # (id, name, type, labels dict, edges)
+    current = None  # (line, id, name, type, labels dict, edges, edge lines)
+
+    def bad_line(lineno, message):
+        return ImportFormatError(f"graph file line {lineno}: {message}",
+                                 line_numbers=(lineno,))
 
     def finish():
         if current is None:
             return
-        gid, name, gtype, labels, edges = current
+        header, gid, name, gtype, labels, edges, edge_lines = current
         nodes = [labels[k] for k in sorted(labels)]
         if sorted(labels) != list(range(len(nodes))):
-            raise ImportFormatError(
-                f"graph {name!r} has non-dense node ids")
+            raise bad_line(header, f"graph {name!r} has non-dense node ids")
+        fault = _edge_fault(len(nodes), edges)
+        if fault is not None:
+            raise bad_line(edge_lines[fault[0]], fault[1])
         graphs.append(LabeledGraph(nodes=nodes, edges=edges, name=name,
                                    graph_type=gtype, id=gid))
 
@@ -542,24 +557,20 @@ def read_graph_file(src) -> list[LabeledGraph]:
             if kind == "graph" and len(fields) == 4:
                 finish()
                 gid = int(fields[1]) if fields[1] else None
-                current = (gid, _unescape(fields[2]), _unescape(fields[3]),
-                           {}, [])
+                current = (lineno, gid, _unescape(fields[2]),
+                           _unescape(fields[3]), {}, [], [])
             elif kind == "n" and len(fields) == 3 and current is not None:
                 node = int(fields[1])
-                if node in current[3]:
+                if node in current[4]:
                     raise ValueError(f"node {node} is listed twice")
-                current[3][node] = _unescape(fields[2])
+                current[4][node] = _unescape(fields[2])
             elif kind == "e" and len(fields) == 4 and current is not None:
-                current[4].append((int(fields[1]), int(fields[2]),
+                current[5].append((int(fields[1]), int(fields[2]),
                                    _unescape(fields[3])))
+                current[6].append(lineno)
             else:
                 raise ValueError(f"unrecognized line kind {kind!r}")
         except (ValueError, ValidationError) as exc:
-            raise ImportFormatError(
-                f"graph file line {lineno}: {exc}",
-                line_numbers=(lineno,)) from exc
-    try:
-        finish()
-    except ValidationError as exc:
-        raise ImportFormatError(str(exc)) from exc
+            raise bad_line(lineno, exc) from exc
+    finish()
     return graphs

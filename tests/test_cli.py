@@ -1041,6 +1041,48 @@ class TestInstances:
         assert err.count("error:") == 1 and "'1,x'" in err
 
 
+class TestStoredDataThatIsNotAnObject:
+    """A stored annotation whose ``data`` column someone else rewrote."""
+
+    def stored_with_data(self, ws, text):
+        assert run(ws, "init") == 0
+        assert run(ws, "run", write_doc(ws), "--stages",
+                   "tokenize,sentences") == 0
+        with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
+            with conn:
+                conn.execute("UPDATE annotations SET data = ? WHERE id ="
+                             " (SELECT min(id) FROM annotations)", (text,))
+
+    @pytest.mark.parametrize("argv", [
+        ["export", "--doc", "doc1.txt"],
+        ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",
+         "--end", "5"],
+        ["run", "DOC", "--stages", "tokenize"],
+    ], ids=["export", "query", "run"])
+    def test_undecodable_data_exits_2_with_one_error_line(self, ws, capsys,
+                                                          argv):
+        self.stored_with_data(ws, '{"ordinal":')
+        capsys.readouterr()
+        argv = [write_doc(ws) if arg == "DOC" else arg for arg in argv]
+        assert run(ws, *argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err == ("error: Expecting value:"
+                                " line 1 column 12 (char 11)\n")
+        assert captured.out == ""
+
+    def test_data_that_is_not_an_object_is_not_exported(self, ws, capsys):
+        self.stored_with_data(ws, "[1]")
+        capsys.readouterr()
+        out = ws / "dump.tsv"
+        assert run(ws, "export", "--doc", "doc1.txt", "--out", str(out)) == 1
+        captured = capsys.readouterr()
+        assert captured.err.count("error:") == 1
+        assert "cannot be exported" in captured.err
+        assert "list, not a dict" in captured.err
+        assert not out.exists()
+
+
 class TestStoreWithoutSchema:
     @pytest.mark.parametrize("argv", [
         ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",

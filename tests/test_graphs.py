@@ -918,3 +918,16 @@ class TestInterchange:
         with pytest.raises(ImportFormatError):
             read_graph_file(io.StringIO(text))
 
+    @pytest.mark.parametrize("after", ["", "graph\t\tg2\tt\n"],
+                             ids=["at-end", "before-a-graph"])
+    @pytest.mark.parametrize("body, line", [
+        ("n\t0\tA\ne\t0\t5\tx\n", 3),
+        ("e\t0\t1\tx\nn\t0\tA\nn\t1\tB\ne\t1\t1\ty\n", 5),
+        ("n\t0\tA\nn\t2\tB\ne\t0\t2\tx\n", 1),
+    ], ids=["edge-out-of-range", "self-loop", "non-dense-ids"])
+    def test_a_bad_graph_is_blamed_on_its_own_line(self, body, line, after):
+        text = "graph\t\tg1\tt\n" + body + after
+        with pytest.raises(ImportFormatError) as err:
+            read_graph_file(io.StringIO(text))
+        assert err.value.line_numbers == (line,)
+        assert str(err.value).startswith(f"graph file line {line}: ")

@@ -32,7 +32,13 @@ from annokit.errors import (
 )
 from annokit.intervals import AllenRelation, Interval
 from annokit.sections import detect_sections, parse_guideline
-from annokit.store import CdmStore, canonical_json, schema_ddl
+from annokit.store import (
+    _OPEN_BLOCK,
+    CdmStore,
+    _loads,
+    canonical_json,
+    schema_ddl,
+)
 
 ALL_TABLES = {
     "corpora", "corpora_documents", "documents", "annotations",
@@ -682,6 +688,91 @@ def test_data_with_trailing_characters_or_no_value_raises_as_json_loads(
     with pytest.raises(json.JSONDecodeError) as raised:
         store.unmarshal_document(doc_id)
     assert str(raised.value) == str(expected.value)
+
+
+# Texts where a joined parse of a block could go wrong: sqlite's
+# ``json_valid`` and Python's parser disagree on some, and a block that
+# holds one must decode as if each text were decoded alone.
+_DATA_TEXTS = [
+    "{}", '{"a":"b"}', ' {"a":"b"} ', '\n{"k":"v"}\t', '{"a":"1","a":"2"}',
+    '{"\\ud800":"\\udfff"}', '"\\ud834"', "NaN", '{"a":NaN}', "1e400",
+    '{"a":-1e400}', '{"a":"b"}x', "[1", "2]", "3,4", "{},{}", "{}\x00junk",
+    '{"a\x00":"b"}', "{a:1}", "[1,]", "'x'", "", " ", "\ufeff{}", "[]",
+    "null", '{"a":[1,{"b":null}]}', "[" * 10 + "]" * 10,
+]
+
+
+def _data_texts():
+    attributes = st.dictionaries(st.text(max_size=4), st.text(max_size=4),
+                                 max_size=3)
+    return st.one_of(
+        st.sampled_from(_DATA_TEXTS),
+        st.sampled_from(_DATA_TEXTS).map(str.encode),
+        st.just('{"\ud800":"x"}'.encode("utf-8", "surrogatepass")),
+        attributes.map(canonical_json),
+        attributes.map(json.dumps),
+        attributes.map(lambda a: canonical_json(a).encode()))
+
+
+def stored_rows(texts):
+    """A store of one document whose annotations, inserted with plain
+    SQL, all on one span, have ``texts`` as their data, in id order."""
+    store = fresh_store()
+    conn = store.connection
+    with conn:
+        doc_id = conn.execute("INSERT INTO documents (name, size, content)"
+                              " VALUES ('raw', 3, 'abc')").lastrowid
+        type_id = conn.execute("INSERT INTO annotation_types (name)"
+                               " VALUES ('token')").lastrowid
+        conn.executemany(
+            'INSERT INTO annotations (document_id, start, "end", type_id,'
+            " data) VALUES (?, 0, 3, ?, ?)",
+            ((doc_id, type_id, text) for text in texts))
+    return store, doc_id
+
+
+@settings(max_examples=150, deadline=None)
+@given(head=st.sampled_from([0, _OPEN_BLOCK - 2, _OPEN_BLOCK,
+                             2 * _OPEN_BLOCK - 1]),
+       texts=st.lists(_data_texts(), min_size=1, max_size=6))
+@example(head=0, texts=["[1", "2]", "3,4"])
+@example(head=_OPEN_BLOCK - 1, texts=["{}", "{},{}"])
+@example(head=0, texts=["{}\x00junk"])
+def test_open_decodes_each_data_text_as_alone(head, texts):
+    """Rows are opened in blocks; each annotation's attributes, or the
+    first failure, are what decoding the rows one by one gives."""
+    texts = ['{"ordinal":"1"}'] * head + texts
+    expected, failure = [], None
+    for text in texts:
+        try:
+            expected.append(_loads(text))
+        except (ValueError, TypeError) as exc:
+            failure = exc
+            break
+    store, doc_id = stored_rows(texts)
+    with store:
+        if failure is not None:
+            with pytest.raises(type(failure)) as raised:
+                store.unmarshal_document(doc_id)
+            assert type(raised.value) is type(failure)
+            assert str(raised.value) == str(failure)
+        else:
+            opened = sorted(store.unmarshal_document(doc_id).annotations(),
+                            key=lambda a: a.id)
+            # repr, since NaN is not equal to itself
+            assert [repr(a.attributes) for a in opened] == [
+                repr(value) for value in expected]
+
+
+def test_one_block_shares_its_attribute_keys():
+    store = fresh_store()
+    doc = Document("keys", "ab")
+    doc.annotate(Interval(0, 1), "token", attributes={"ordinal": "1"})
+    doc.annotate(Interval(1, 2), "token", attributes={"ordinal": "2"})
+    store.marshal_document(doc)
+    first, second = store.unmarshal_document(doc.id).annotations()
+    [key1], [key2] = first.attributes, second.attributes
+    assert key1 == key2 == "ordinal" and key1 is key2
 
 
 def test_checkpoint_writes_exactly_the_dirty_set():
