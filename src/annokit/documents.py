@@ -399,21 +399,24 @@ def split_sentences(doc: Document,
 # text files given by path or as open handles
 
 @contextmanager
-def open_text(target, mode="r"):
+def open_text(target, mode="r", newline=""):
     """Yield ``target`` itself when it is already an open text handle,
-    else the UTF-8 file at that path, closed on exit."""
+    else the UTF-8 file at that path, closed on exit. Its line ends are
+    read and written as they are; ``newline=None`` reads CRLF and CR as
+    LF."""
     if hasattr(target, "read") or hasattr(target, "write"):
         yield target
     else:
-        with open(target, mode, encoding="utf-8") as handle:
+        with open(target, mode, encoding="utf-8", newline=newline) as handle:
             yield handle
 
 
-def read_text(src) -> str:
-    """The whole UTF-8 text of ``src``, a path or an open text handle;
-    text that is not UTF-8 is an ``AnnokitError`` naming the file."""
+def read_text(src, newline="") -> str:
+    """The whole UTF-8 text of ``src``, a path or an open text handle,
+    its line ends as ``open_text`` reads them; text that is not UTF-8 is
+    an ``AnnokitError`` naming the file."""
     try:
-        with open_text(src) as handle:
+        with open_text(src, newline=newline) as handle:
             return handle.read()
     except UnicodeDecodeError as exc:
         name = getattr(src, "name", src)
@@ -427,10 +430,11 @@ def _is_content(line: str) -> bool:
 
 def content_lines(src) -> list[tuple[int, str]]:
     """(line number, line) for each non-blank, non-``#`` line of ``src``,
-    newline stripped; None reads as an empty file."""
+    newline stripped (a file's lines may end in LF, CRLF or CR); None
+    reads as an empty file."""
     if src is None:
         return []
-    lines = enumerate(read_text(src).split("\n"), start=1)
+    lines = enumerate(read_text(src, newline=None).split("\n"), start=1)
     return [(lineno, line) for lineno, line in lines if _is_content(line)]
 
 

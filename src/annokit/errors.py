@@ -65,7 +65,7 @@ class ConflictError(StoreError):
     """A checkpoint hit a row modified or removed by someone else."""
 
 
-class DanglingReferenceError(StoreError):
+class DanglingReferenceError(StoreError, NotFoundError):
     """A row references an id that does not exist."""
 
 

@@ -143,9 +143,11 @@ class _Walker:
         if self._depth == 1:
             return  # synthetic wrapper
         if self.record_element is not None and name == self.record_element:
+            # the record's slot is kept in start-tag (document) order
             frame = [self._after_start_tag(), attrs, self._plain_len,
-                     len(self._chunks), len(self.events)]
+                     len(self._chunks), len(self.events), len(self.records)]
             self._record_stack.append(frame)
+            self.records.append(None)
             return
         self._open.append(len(self.events))
         self.events.append([name, dict(attrs), self._plain_len, None])
@@ -162,19 +164,19 @@ class _Walker:
         self.events[index][3] = self._plain_len
 
     def _finish_record(self, frame):
-        content_start, attrs, plain_start, chunks_start, events_start = frame
+        (content_start, attrs, plain_start, chunks_start, events_start,
+         slot) = frame
         content_end = self._byte_index()
         # a self-closing record ends where its one tag starts
         raw = b"" if content_end < content_start \
             else self._data[content_start:content_end]
-        ordinal = len(self.records) + 1
-        record_id = attrs.get("id") or attrs.get("ID") or str(ordinal)
+        record_id = attrs.get("id") or attrs.get("ID") or str(slot + 1)
         plain = "".join(self._chunks[chunks_start:])
         events = [(n, a, s - plain_start, e - plain_start)
                   for n, a, s, e in self.events[events_start:]]
-        self.records.append(InlineRecord(
+        self.records[slot] = InlineRecord(
             record_id=record_id, raw_text=raw.decode("utf-8"),
-            plain_text=plain, tag_events=events))
+            plain_text=plain, tag_events=events)
 
     def _chars(self, data):
         if self._depth >= 1:

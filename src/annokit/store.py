@@ -46,7 +46,6 @@ import gc
 import json
 import operator
 import sqlite3
-from collections import namedtuple
 
 from .documents import (
     _PARENT_REFERENCE,
@@ -213,11 +212,6 @@ _INSTANCE_KINDS = {
     "document_set": ("document", 1, None),
 }
 
-AnnotationRef = namedtuple(
-    "AnnotationRef",
-    "annotation_id document_id start end type_name value",
-)
-
 
 _encoder = json.JSONEncoder(sort_keys=True, separators=(",", ":"),
                             ensure_ascii=False)
@@ -353,13 +347,6 @@ def _sqlite_errors_as_store_errors(cls):
     return cls
 
 
-def schema_ddl() -> str:
-    """The full DDL, for inspection or external tooling."""
-    statements = [stmt.strip() + ";" for stmt in _TABLES.values()]
-    statements += [stmt + ";" for stmt in _INDEXES]
-    return "\n".join(statements) + "\n"
-
-
 @_sqlite_errors_as_store_errors
 class CdmStore:
     """Single-connection store over the fourteen-table schema.
@@ -438,7 +425,7 @@ class CdmStore:
                 self._conn.execute(ddl)
             for ddl in _INDEXES:
                 self._conn.execute(ddl)
-            # Stores made before query_by_value scanned carry this index.
+            # Older stores carry this index; no read goes by type and value.
             self._conn.execute(
                 "DROP INDEX IF EXISTS idx_annotations_type_value")
         return sorted(self._table_names() - before), moved
@@ -643,7 +630,7 @@ class CdmStore:
                             *fields):
                         type_name = type_names.get(type_id)
                         if type_name is None:
-                            raise NotFoundError(
+                            raise DanglingReferenceError(
                                 f"unknown annotation type id {type_id}")
                         if (span is None or span.start != start
                                 or span.end != end):
@@ -667,31 +654,6 @@ class CdmStore:
 
     def find_document(self, name: str) -> int | None:
         return self._find("documents", name)
-
-    def list_documents(self) -> list[tuple[int, str]]:
-        return list(self._conn.execute(
-            "SELECT id, name FROM documents ORDER BY id"
-        ))
-
-    def query_by_value(self, type_name: str, value: str
-                       ) -> list[AnnotationRef]:
-        """Exact-match retrieval across documents. It scans the
-        annotations table: no index serves it, since no command calls it.
-        Unknown types yield an empty list, not an error."""
-        row = self._conn.execute(
-            "SELECT id FROM annotation_types WHERE name = ?",
-            (type_name,),
-        ).fetchone()
-        if row is None:
-            return []
-        rows = self._conn.execute(
-            'SELECT id, document_id, start, "end", value'
-            ' FROM annotations WHERE type_id = ? AND value = ?'
-            ' ORDER BY document_id, start, "end", id',
-            (row[0], value),
-        ).fetchall()
-        return [AnnotationRef(r[0], r[1], r[2], r[3], type_name, r[4])
-                for r in rows]
 
     # corpora
 
@@ -855,16 +817,6 @@ class CdmStore:
 
     def find_graph(self, name: str) -> int | None:
         return self._find("graphs", name)
-
-    def list_graphs(self, graph_type: str | None = None
-                    ) -> list[tuple[int, str, str]]:
-        """(id, name, type) rows, optionally of one type, ordered by id."""
-        where, params = "", ()
-        if graph_type is not None:
-            where, params = " WHERE type = ?", (graph_type,)
-        return self._conn.execute(
-            f"SELECT id, name, type FROM graphs{where} ORDER BY id",
-            params).fetchall()
 
     def graph_links(self, graph_id: int) -> tuple[str, str, list]:
         """A graph's name, type and linkage rows in insertion order."""

@@ -97,6 +97,12 @@ def mining_rows(ws):
             for table in ("sig_subgraph", "lg_sigsub")]
 
 
+def graph_names(store):
+    """The names of every stored graph, in id order."""
+    return [row[0] for row in store.connection.execute(
+        "SELECT name FROM graphs ORDER BY id")]
+
+
 def store_dump(ws):
     with CdmStore(str(ws / "store.db")) as store:
         return list(store.connection.iterdump())
@@ -310,6 +316,27 @@ class TestImportAndRun:
         assert err.count("error:") == 1
         assert err.startswith("error:") and "utf-8" in err
 
+    def test_crlf_note_keeps_the_offsets_of_its_file(self, ws):
+        """The note is stored as its file holds it, so a span counted on
+        the file covers the same characters; an annotation file with CRLF
+        line ends reads as with LF."""
+        run(ws, "init")
+        note = ws / "crlf.txt"
+        note.write_bytes(b"Line one.\r\nSecond line.\r\n")
+        spans = ws / "spans.tsv"
+        spans.write_bytes(b"# doc\tstart\tend\ttype\tvalue\tattributes\r\n"
+                          b"crlf.txt\t11\t17\tword\tSecond\t\r\n")
+        assert run(ws, "import", str(note)) == 0
+        assert run(ws, "import", "--annotations", str(spans),
+                   "--doc", "crlf.txt") == 0
+        with CdmStore(str(ws / "store.db")) as store:
+            doc = store.unmarshal_document(store.find_document("crlf.txt"))
+        assert doc.content.encode("utf-8") == note.read_bytes()
+        (word,) = doc.annotations("word")
+        assert (word.value, doc.content[word.span.start:word.span.end]) == (
+            "Second", "Second")
+        assert word.attributes == {}
+
     def test_run_tokenize_sentences(self, ws, capsys):
         run(ws, "init")
         p1 = write_doc(ws)
@@ -467,13 +494,13 @@ class TestImportAndRun:
         assert run(ws, "run", path, "--stages", stages) == 2
         assert "refused" in capsys.readouterr().err
         with CdmStore(str(ws / "store.db")) as store:
-            assert store.list_graphs() == []
+            assert graph_names(store) == []
             with store.connection:
                 store.connection.execute("DROP TRIGGER refuse")
         assert run(ws, "run", path, "--stages", stages) == 0
         assert "5 graphs persisted" in capsys.readouterr().out
         with CdmStore(str(ws / "store.db")) as store:
-            assert [name for _, name, _ in store.list_graphs()] == [
+            assert graph_names(store) == [
                 f"d.txt:{n * len(SENTENCE)}-{n * len(SENTENCE) + 19}"
                 for n in range(5)]
 
@@ -539,13 +566,13 @@ class TestImportAndRun:
         stages = "tokenize,sentences,concepts,graphs"
         assert run(ws, "run", *paths, "--stages", stages) == 0
         with CdmStore(str(ws / "store.db")) as store:
-            assert [name for _, name, _ in store.list_graphs()] == [
+            assert graph_names(store) == [
                 "a:b:0-19", "a:0-19"]
         capsys.readouterr()
         assert run(ws, "run", *paths, "--stages", stages) == 0
         assert "graphs persisted" not in capsys.readouterr().out
         with CdmStore(str(ws / "store.db")) as store:
-            assert len(store.list_graphs()) == 2
+            assert len(graph_names(store)) == 2
 
     def test_run_reports_in_argument_order(self, ws, capsys):
         run(ws, "init")
@@ -1041,24 +1068,34 @@ class TestInstances:
         assert err.count("error:") == 1 and "'1,x'" in err
 
 
+def stored_with_column(ws, column, value):
+    """doc1.txt tokenized and split, then the ``column`` of its first
+    annotation row rewritten to ``value`` behind annokit's back."""
+    assert run(ws, "init") == 0
+    assert run(ws, "run", write_doc(ws), "--stages",
+               "tokenize,sentences") == 0
+    with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
+        with conn:
+            conn.execute(f"UPDATE annotations SET {column} = ? WHERE id ="
+                         " (SELECT min(id) FROM annotations)", (value,))
+
+
+# Commands that open the stored doc1.txt; DOC stands for its file.
+opening_commands = pytest.mark.parametrize("argv", [
+    ["export", "--doc", "doc1.txt"],
+    ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",
+     "--end", "5"],
+    ["run", "DOC", "--stages", "tokenize"],
+], ids=["export", "query", "run"])
+
+
 class TestStoredDataThatIsNotAnObject:
     """A stored annotation whose ``data`` column someone else rewrote."""
 
     def stored_with_data(self, ws, text):
-        assert run(ws, "init") == 0
-        assert run(ws, "run", write_doc(ws), "--stages",
-                   "tokenize,sentences") == 0
-        with contextlib.closing(sqlite3.connect(ws / "store.db")) as conn:
-            with conn:
-                conn.execute("UPDATE annotations SET data = ? WHERE id ="
-                             " (SELECT min(id) FROM annotations)", (text,))
+        stored_with_column(ws, "data", text)
 
-    @pytest.mark.parametrize("argv", [
-        ["export", "--doc", "doc1.txt"],
-        ["query", "--doc", "doc1.txt", "--rel", "during", "--start", "0",
-         "--end", "5"],
-        ["run", "DOC", "--stages", "tokenize"],
-    ], ids=["export", "query", "run"])
+    @opening_commands
     def test_undecodable_data_exits_2_with_one_error_line(self, ws, capsys,
                                                           argv):
         self.stored_with_data(ws, '{"ordinal":')
@@ -1081,6 +1118,21 @@ class TestStoredDataThatIsNotAnObject:
         assert "cannot be exported" in captured.err
         assert "list, not a dict" in captured.err
         assert not out.exists()
+
+
+class TestStoredTypeIdThatNamesNoType:
+    """A stored annotation whose ``type_id`` names no annotation type."""
+
+    @opening_commands
+    def test_exits_2_with_one_error_line(self, ws, capsys, argv):
+        stored_with_column(ws, "type_id", 999)
+        capsys.readouterr()
+        argv = [write_doc(ws) if arg == "DOC" else arg for arg in argv]
+        assert run(ws, *argv) == 2
+        captured = capsys.readouterr()
+        assert "Traceback" not in captured.err
+        assert captured.err == "error: unknown annotation type id 999\n"
+        assert captured.out == ""
 
 
 class TestStoreWithoutSchema:

@@ -642,10 +642,24 @@ class TestMining:
                 for r in results} == oracle_mine(graphs, min_support, 3)
 
 
+def stored_graphs(store):
+    """(id, name, type) of every stored graph, in id order."""
+    return store.connection.execute(
+        "SELECT id, name, type FROM graphs ORDER BY id").fetchall()
+
+
 class TestPersistence:
+    def setup_method(self):
+        self.stores = []
+
+    def teardown_method(self):
+        for store in self.stores:
+            store.close()
+
     def make_store(self):
         store = CdmStore(":memory:")
         store.init_schema()
+        self.stores.append(store)
         return store
 
     def test_round_trip_with_isolated_node(self):
@@ -702,7 +716,7 @@ class TestPersistence:
             [LabeledGraph(nodes=["a"], id=999)], 1, max_nodes=1)
         with pytest.raises(DanglingReferenceError):
             persist_mining_results(store, results)
-        assert store.list_graphs() == []
+        assert stored_graphs(store) == []
 
     def test_mining_results_all_or_nothing(self):
         store = self.make_store()
@@ -716,7 +730,7 @@ class TestPersistence:
                 " BEGIN SELECT RAISE(ABORT, 'refused'); END")
         with pytest.raises(StoreError, match="refused"):
             persist_mining_results(store, results)
-        assert store.list_graphs() == [(host.id, "g", "")]
+        assert stored_graphs(store) == [(host.id, "g", "")]
         assert store.connection.execute(
             "SELECT COUNT(*) FROM sig_subgraph").fetchone() == (0,)
 
@@ -756,7 +770,7 @@ class TestPersistence:
         loaded = load_graphs(store, "dependency")
         assert [fields(g) for g in loaded] == [
             fields(load_graph(store, gid))
-            for gid, _, _ in store.list_graphs("dependency")]
+            for gid, _, _ in store.graphs_of_type("dependency")]
         assert [g.name for g in loaded] == ["isolated node", "no nodes",
                                             "three edges"]
         assert load_graphs(store, "unknown") == []
@@ -823,14 +837,14 @@ class TestPersistence:
         batch = [LabeledGraph(nodes=["a"], name=f"g{n}") for n in range(3)]
         with pytest.raises(StoreError, match="refused"):
             persist_graphs(store, batch)
-        assert store.list_graphs() == []
+        assert stored_graphs(store) == []
         assert [g.id for g in batch] == [None, None, None]
         with store.connection:
             store.connection.execute("DROP TRIGGER refuse")
         ids = persist_graphs(store, batch)
         assert ids == [g.id for g in batch]
-        assert store.list_graphs() == [(gid, f"g{n}", "")
-                                       for n, gid in enumerate(ids)]
+        assert stored_graphs(store) == [(gid, f"g{n}", "")
+                                        for n, gid in enumerate(ids)]
 
     def test_each_mapped_graph_id_checked_once(self):
         store = self.make_store()

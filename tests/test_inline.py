@@ -205,6 +205,13 @@ class TestSplitRecords:
         with pytest.raises(ConversionError):
             split_records("<ROOT><RECORD>oops</ROOT>")
 
+    def test_nested_records_come_in_document_order(self):
+        records = split_records(
+            '<R><RECORD id="a">x<RECORD id="b">y</RECORD>z</RECORD>'
+            "<RECORD>w<RECORD>v</RECORD></RECORD></R>")
+        assert [(r.record_id, r.plain_text) for r in records] == [
+            ("a", "xyz"), ("b", "y"), ("3", "wv"), ("4", "v")]
+
 
 class TestRenderOffsets:
     def test_figure_table_inclusive(self):

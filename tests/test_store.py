@@ -37,7 +37,6 @@ from annokit.store import (
     CdmStore,
     _loads,
     canonical_json,
-    schema_ddl,
 )
 
 ALL_TABLES = {
@@ -48,14 +47,32 @@ ALL_TABLES = {
 }
 
 
+# What a test opens with ``kept`` is closed when the test ends, as an
+# unclosed connection is a ResourceWarning when it is collected.
+_kept = []
+
+
+@pytest.fixture(autouse=True)
+def close_kept():
+    yield
+    while _kept:
+        _kept.pop().close()
+
+
+def kept(opened):
+    """``opened``, a store or connection, closed when the test ends."""
+    _kept.append(opened)
+    return opened
+
+
 def fresh_store():
-    store = CdmStore(":memory:")
+    store = kept(CdmStore(":memory:"))
     store.init_schema()
     return store
 
 
 def test_init_schema_creates_fourteen_tables():
-    store = CdmStore(":memory:")
+    store = kept(CdmStore(":memory:"))
     created, moved = store.init_schema()
     assert moved is None
     assert set(created) == ALL_TABLES
@@ -68,7 +85,7 @@ def test_init_schema_idempotent():
 
 
 def test_incompatible_table_blocks_init():
-    conn = sqlite3.connect(":memory:")
+    conn = kept(sqlite3.connect(":memory:"))
     conn.execute("CREATE TABLE documents (id INTEGER, wrong TEXT)")
     store = CdmStore(conn)
     with pytest.raises(MigrationRequiredError):
@@ -78,13 +95,6 @@ def test_incompatible_table_blocks_init():
 def test_unreachable_store():
     with pytest.raises(StoreError):
         CdmStore("/no/such/dir/at/all.db")
-
-
-def test_schema_ddl_mentions_every_table():
-    ddl = schema_ddl()
-    for table in ALL_TABLES:
-        assert table in ddl
-    assert "idx_annotations_type_value" not in ddl
 
 
 def index_names(store):
@@ -107,7 +117,6 @@ def test_init_schema_drops_the_type_value_index_of_an_old_store(tmp_path):
         store.connection.commit()
         rows = store.connection.execute(
             "SELECT * FROM annotations ORDER BY id").fetchall()
-        refs = store.query_by_value("CUI", "C1")
     with CdmStore(path) as store:
         assert "idx_annotations_type_value" in index_names(store)
         assert store.init_schema() == ([], None)
@@ -115,8 +124,6 @@ def test_init_schema_drops_the_type_value_index_of_an_old_store(tmp_path):
         assert "idx_annotations_doc_span" in index_names(store)
         assert store.connection.execute(
             "SELECT * FROM annotations ORDER BY id").fetchall() == rows
-        assert len(refs) == 9
-        assert store.query_by_value("CUI", "C1") == refs
 
 
 def to_layout_before_provenance_column(store):
@@ -218,7 +225,7 @@ def test_a_failed_migration_leaves_the_layout_before_it():
 
 
 def test_a_foreign_annotations_table_blocks_init_and_stays_as_it_was():
-    conn = sqlite3.connect(":memory:")
+    conn = kept(sqlite3.connect(":memory:"))
     conn.execute("CREATE TABLE annotations (id INTEGER, wrong TEXT)")
     dump = list(conn.iterdump())
     with pytest.raises(MigrationRequiredError):
@@ -861,7 +868,7 @@ class CountingConnection:
 def checkpoint_calls(fresh):
     """execute and executemany calls of one checkpoint of ``fresh`` new
     annotations of an existing type."""
-    conn = CountingConnection(sqlite3.connect(":memory:"))
+    conn = CountingConnection(kept(sqlite3.connect(":memory:")))
     store = CdmStore(conn)
     store.init_schema()
     doc = Document("calls", "w" * 100)
@@ -881,38 +888,8 @@ def test_checkpoint_calls_do_not_grow_with_its_rows():
     assert checkpoint_calls(2000) == checkpoint_calls(10)
 
 
-def test_query_by_value_matches_linear_scan():
-    store = fresh_store()
-    rng = random.Random(12)
-    rows = []
-    for d in range(4):
-        doc = Document(f"d{d}", "w" * 60)
-        for _ in range(40):
-            s = rng.randrange(0, 60)
-            e = rng.randrange(s, 61)
-            value = rng.choice(("C0018787", "C0027051", "c0018787"))
-            doc.annotate(Interval(s, e), "CUI", value)
-        store.marshal_document(doc)
-        rows += [(doc.id, a.span, a.value) for a in doc.annotations()]
-    refs = store.query_by_value("CUI", "C0018787")
-    want = sorted(
-        [(doc_id, span) for doc_id, span, value in rows
-         if value == "C0018787"],
-        key=lambda r: (r[0], r[1].start, r[1].end),
-    )
-    got = [(r.document_id, Interval(r.start, r.end)) for r in refs]
-    assert got == want
-    assert all(r.value == "C0018787" for r in refs)
-
-
-def test_query_by_value_is_case_sensitive_and_tolerant():
-    store = fresh_store()
-    doc = Document("case", "abcdefgh")
-    doc.annotate(Interval(0, 3), "CUI", "C0018787")
-    store.marshal_document(doc)
-    assert store.query_by_value("CUI", "c0018787") == []
-    assert store.query_by_value("nonexistent-type", "x") == []
-    assert len(store.query_by_value("CUI", "C0018787")) == 1
+def stored_documents(store):
+    return store.connection.execute("SELECT id FROM documents").fetchall()
 
 
 def corpus_documents(store, corpus_id):
@@ -963,7 +940,7 @@ def test_import_is_all_or_nothing():
     refuse_annotation_inserts(store)
     with pytest.raises(StoreError, match="refused"):
         store.import_documents(docs, corpus)
-    assert store.list_documents() == [] == corpus_documents(store, corpus)
+    assert stored_documents(store) == [] == corpus_documents(store, corpus)
     assert [doc.id for doc in docs] == [None, None, None]
     allow_annotation_inserts(store)
     assert store.import_documents(docs, corpus) == [True, True, True]
@@ -1056,9 +1033,9 @@ def test_groundtruth_upserts():
 
 @pytest.mark.parametrize("method, args", [
     ("find_document", ("x",)),
-    ("list_documents", ()),
+    ("find_graph", ("x",)),
     ("unmarshal_document", (1,)),
-    ("query_by_value", ("token", "x")),
+    ("graphs_of_type", ("dependency",)),
     ("find_corpus", ("x",)),
     ("marshal_document", (Document("x", ""),)),
     ("corpus_instances", (1,)),
@@ -1067,7 +1044,7 @@ def test_groundtruth_upserts():
     ("instance_set_members", (1,)),
     ("set_groundtruth", (1, "task", "label")),
     ("groundtruth_for", (1,)),
-    ("list_graphs", ()),
+    ("create_corpus", ("x",)),
     ("graph_links", (1,)),
     ("create_document_instances", (1,)),
 ])
@@ -1115,7 +1092,7 @@ def test_marshal_retry_after_rollback_succeeds():
     with pytest.raises(StoreError, match="refused"):
         store.marshal_document(doc)
     assert doc.id is None
-    assert store.list_documents() == []
+    assert stored_documents(store) == []
     allow_annotation_inserts(store)
     assert store.marshal_document(doc) == {"documents": 1, "annotations": 1}
     back = store.unmarshal_document(doc.id)
